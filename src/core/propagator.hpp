@@ -272,9 +272,11 @@ PhaseOp<T> neighborSymmetrize()
                 // (where conservation is measured) — ChaNGa's trade-off.
                 if (ctx.walkMode == WalkMode::Global && ctx.cfg.symmetrizeNeighbors)
                 {
+                    const auto& ps = ctx.ps;
                     symmetrizeNeighborList(
-                        ctx.nl, std::span<const std::uint64_t>(ctx.ps.id.data(),
-                                                               ctx.nl.size()));
+                        ps.x, ps.y, ps.z, ps.h, ctx.box, ctx.nl,
+                        std::span<const std::uint64_t>(ps.id.data(), ctx.nl.size()),
+                        ctx.loopPolicy(Phase::D_NeighborSymmetrize));
                 }
                 // phase D closes the list-building bracket (B fills, C may
                 // re-walk, the symmetrize pass appends): snapshot overflow

@@ -16,10 +16,10 @@
 /// arXiv:2503.09713).
 ///
 /// Output equivalence is EXACT, not just set-equal: candidate leaves are
-/// visited in the same depth-first order as Octree::forEachNeighbor and
-/// members test candidates with the same predicate, and since box-box
-/// pruning distances never exceed the member's point-box distances
-/// (aabbDistanceSq, domain/box.hpp), every leaf a per-particle walk visits
+/// visited in the same depth-first order as Octree::forEachNeighbor,
+/// members test candidates with the same predicate (KernelSupport), and
+/// since box-box pruning distances never exceed the member's point-box
+/// distances (aabbDistanceSq, domain/box.hpp), every leaf a per-particle walk visits
 /// survives cluster pruning. Each particle therefore receives the same
 /// neighbor indices in the same order as findNeighborsGlobal — so every
 /// downstream SPH sum is bitwise identical between the two search modes
@@ -199,8 +199,7 @@ void findNeighborsClustered(const Octree<T>& tree, std::type_identity_t<std::spa
                 T pix    = x[i];
                 T piy    = y[i];
                 T piz    = z[i];
-                T radius = T(2) * h[i];
-                T r2     = radius * radius;
+                const KernelSupport<T> support(h[i]);
                 for (std::size_t k = 0; k < nCand; ++k)
                 {
                     T dx   = wrap.x(pix - cxp[k]);
@@ -212,7 +211,7 @@ void findNeighborsClustered(const Octree<T>& tree, std::type_identity_t<std::spa
                 for (std::size_t k = 0; k < nCand; ++k)
                 {
                     outp[cnt] = cdp[k];
-                    cnt += std::size_t((d2p[k] < r2) & (cdp[k] != Index(i)));
+                    cnt += std::size_t(support.contains(d2p[k]) & (cdp[k] != Index(i)));
                 }
                 nl.set(i, std::span<const Index>(outp, cnt));
             }

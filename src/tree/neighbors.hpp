@@ -15,9 +15,17 @@
 /// The walks run through parallelFor (parallel/parallel_for.hpp) with
 /// per-worker scratch buffers: iteration i writes only list slot i, so the
 /// produced lists are bitwise identical for any pool size and strategy.
+///
+/// Every search, and the pair symmetrization of phase D, decides "j is a
+/// neighbor of i" through the one predicate KernelSupport below.
 
+#include <algorithm>
 #include <atomic>
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <numeric>
 #include <span>
 #include <type_traits>
 #include <utility>
@@ -27,6 +35,23 @@
 #include "tree/octree.hpp"
 
 namespace sphexa {
+
+/// The neighbor predicate: j is a neighbor of i iff the minimum-image
+/// squared distance d2 = |x_i - x_j|^2 lies inside i's kernel support,
+/// d2 < (2 h_i)^2. Built once per particle so candidate loops test against a
+/// hoisted bound; r2 doubles as the octree's node-pruning bound.
+template<class T>
+struct KernelSupport
+{
+    T r2; ///< (2h)^2
+
+    explicit KernelSupport(T h)
+        : r2((T(2) * h) * (T(2) * h))
+    {
+    }
+
+    bool contains(T d2) const { return d2 < r2; }
+};
 
 /// Flat fixed-capacity neighbor lists.
 template<class T>
@@ -104,17 +129,29 @@ public:
         return s;
     }
 
+    /// Replace particle i's neighbors with \p nbs (truncated at ngmax).
     void set(std::size_t i, std::span<const Index> nbs)
     {
-        unsigned c = unsigned(std::min<std::size_t>(nbs.size(), ngmax_));
-        for (unsigned k = 0; k < c; ++k)
-            list_[i * ngmax_ + k] = nbs[k];
-        count_[i] = c;
-        if (nbs.size() > ngmax_)
+        count_[i] = 0;
+        append(i, nbs);
+    }
+
+    /// Append \p nbs to particle i's neighbors, truncated at ngmax; a call
+    /// that truncates counts one overflow.
+    void append(std::size_t i, std::span<const Index> nbs)
+    {
+        std::size_t have  = count_[i];
+        std::size_t total = have + nbs.size();
+        std::size_t c     = std::min<std::size_t>(total, ngmax_);
+        std::copy(nbs.begin(), nbs.begin() + std::ptrdiff_t(c - have),
+                  list_.begin() + std::ptrdiff_t(i * ngmax_ + have));
+        count_[i] = unsigned(c);
+        if (total > ngmax_)
         {
-            // set() runs concurrently for distinct i from parallelFor
-            // workers; atomic_ref makes the shared overflow tally atomic
-            // while keeping the member a plain (copyable) size_t.
+            // set()/append() run concurrently for distinct i from
+            // parallelFor workers; atomic_ref makes the shared overflow
+            // tally atomic while keeping the member a plain (copyable)
+            // size_t.
             std::atomic_ref<std::size_t>(overflow_).fetch_add(1, std::memory_order_relaxed);
         }
     }
@@ -145,8 +182,7 @@ void findNeighborsGlobal(const Octree<T>& tree, std::type_identity_t<std::span<c
         auto& local = scratch[w];
         local.clear();
         Vec3<T> pos{x[i], y[i], z[i]};
-        T radius = T(2) * h[i];
-        tree.forEachNeighbor(pos, radius, [&](Index j, T) {
+        tree.forEachNeighbor(pos, KernelSupport<T>(h[i]), [&](Index j, T) {
             if (j != Index(i)) local.push_back(j);
         });
         nl.set(i, local);
@@ -176,8 +212,7 @@ void findNeighborsIndividual(const Octree<T>& tree, std::type_identity_t<std::sp
         auto& local = scratch[w];
         local.clear();
         Vec3<T> pos{x[i], y[i], z[i]};
-        T radius = T(2) * h[i];
-        tree.forEachNeighbor(pos, radius, [&](Index j, T) {
+        tree.forEachNeighbor(pos, KernelSupport<T>(h[i]), [&](Index j, T) {
             if (j != Index(i)) local.push_back(j);
         });
         nl.set(i, local);
@@ -197,15 +232,101 @@ void findNeighborsBruteForce(std::type_identity_t<std::span<const T>> x, std::ty
         auto& local = scratch[w];
         local.clear();
         Vec3<T> pi{x[i], y[i], z[i]};
-        T r2 = T(4) * h[i] * h[i];
+        const KernelSupport<T> support(h[i]);
         for (std::size_t j = 0; j < n; ++j)
         {
             if (j == i) continue;
             Vec3<T> d = box.delta(pi, Vec3<T>{x[j], y[j], z[j]});
-            if (norm2(d) < r2) local.push_back(Index(j));
+            if (support.contains(norm2(d))) local.push_back(Index(j));
         }
         nl.set(i, local);
     });
+}
+
+/// Make neighbor lists pair-symmetric (phase D): if i lists j, j lists i,
+/// as exact momentum conservation needs when smoothing lengths differ.
+///
+/// Precondition: nl holds, for every particle in [0, nl.size()), the list a
+/// global search built over \p box for the current x, y, z and h. Then j
+/// lists i iff KernelSupport(h_j).contains(d2) — minimum-image deltas are
+/// exactly antisymmetric, so d2 from i's side is the value j's search
+/// compared — except that a row at capacity (count == ngmax) may have been
+/// truncated and is scanned instead. Debug builds assert the forward
+/// predicate for every pair visited, so other lists fail loudly.
+///
+/// Stage 1 (read-only) finds each missing pair (j, i) and gathers them into
+/// one run per row j. Stage 2 sorts each run by (ids[i], i) — by i when
+/// \p ids is empty — and appends it with NeighborList::append, which
+/// truncates and counts overflow as set() does. The key makes the appended tail a function of the
+/// pair set alone: bitwise invariant under pool size, strategy and, given
+/// ids, storage permutation; the slot tie-break orders the ids WCSPH mirror
+/// ghosts share with their source.
+template<class T>
+void symmetrizeNeighborList(std::type_identity_t<std::span<const T>> x, std::type_identity_t<std::span<const T>> y,
+                            std::type_identity_t<std::span<const T>> z, std::type_identity_t<std::span<const T>> h,
+                            const Box<T>& box, NeighborList<T>& nl, std::span<const std::uint64_t> ids = {},
+                            const LoopPolicy& policy = {})
+{
+    using Index = typename NeighborList<T>::Index;
+    const std::size_t n = nl.size();
+    assert(x.size() >= n && y.size() >= n && z.size() >= n && h.size() >= n);
+    assert(ids.empty() || ids.size() >= n);
+
+    // stage 1 (read-only): emit(j) for every entry j of row i whose reverse
+    // entry is missing
+    auto scanRow = [&](std::size_t i, auto&& emit) {
+        const Vec3<T> xi{x[i], y[i], z[i]};
+        [[maybe_unused]] const KernelSupport<T> own(h[i]);
+        for (Index j : nl.neighbors(i))
+        {
+            T d2 = norm2(box.delta(Vec3<T>{x[j], y[j], z[j]}, xi));
+            assert(own.contains(d2) && "lists not built by the search for the current x, h");
+            // a row at capacity may have been truncated: scan it instead
+            auto rowJ   = nl.neighbors(j);
+            bool listed = rowJ.size() < nl.ngmax()
+                              ? KernelSupport<T>(h[j]).contains(d2)
+                              : std::find(rowJ.begin(), rowJ.end(), Index(i)) != rowJ.end();
+            if (!listed) emit(j);
+        }
+    };
+
+    // Two sweeps — count the missing entries per row, then place each in
+    // its row's run — instead of buffering the pairs, whose buffers would
+    // raise the step's peak memory. The placing sweep revisits only the
+    // rows that emitted (about 40% of them on a Sedov blast).
+    std::vector<unsigned>      missing(n, 0);
+    std::vector<unsigned char> emits(n, 0);
+    parallelFor(n, [&](std::size_t i, std::size_t) {
+        scanRow(i, [&](Index j) {
+            emits[i] = 1;
+            std::atomic_ref<unsigned>(missing[j]).fetch_add(1, std::memory_order_relaxed);
+        });
+    }, policy);
+    std::vector<std::size_t> offset(n + 1, 0);
+    std::inclusive_scan(missing.begin(), missing.end(), offset.begin() + 1, std::plus<>(),
+                        std::size_t(0));
+    if (offset[n] == 0) return;
+    std::vector<Index> runs(offset[n]);
+    parallelFor(n, [&](std::size_t i, std::size_t) {
+        if (!emits[i]) return;
+        scanRow(i, [&](Index j) {
+            unsigned left = std::atomic_ref<unsigned>(missing[j]).fetch_sub(1, std::memory_order_relaxed);
+            runs[offset[j] + left - 1] = Index(i);
+        });
+    }, policy);
+
+    // stage 2: order each run by key (worker timing placed its entries) and
+    // append it
+    parallelFor(n, [&](std::size_t j, std::size_t) {
+        Index* first = runs.data() + offset[j];
+        Index* last  = runs.data() + offset[j + 1];
+        if (first == last) return;
+        std::sort(first, last, [&](Index a, Index b) {
+            if (!ids.empty() && ids[a] != ids[b]) return ids[a] < ids[b];
+            return a < b;
+        });
+        nl.append(j, std::span<const Index>(first, last));
+    }, policy);
 }
 
 } // namespace sphexa

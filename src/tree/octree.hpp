@@ -136,13 +136,15 @@ public:
         return d;
     }
 
-    /// Visit all particles within \p radius of \p pos (minimum-image in
-    /// periodic boxes). Calls f(originalParticleIndex, distanceSquared).
-    template<class F>
-    void forEachNeighbor(const Vec3<T>& pos, T radius, F&& f) const
+    /// Visit every particle whose minimum-image squared distance d2 from
+    /// \p pos passes \p within — the neighbor predicate (KernelSupport,
+    /// tree/neighbors.hpp): within.contains(d2) accepts, within.r2 bounds
+    /// the nodes worth opening. Calls f(originalParticleIndex, d2).
+    template<class Within, class F>
+    void forEachNeighbor(const Vec3<T>& pos, const Within& within, F&& f) const
     {
         if (nodes_.empty() || n_ == 0) return;
-        T r2 = radius * radius;
+        T r2 = within.r2;
         Index stack[128];
         int   sp   = 0;
         stack[sp++] = 0;
@@ -157,7 +159,7 @@ public:
                     Index j = order_[k];
                     Vec3<T> d = box_.delta(pos, Vec3<T>{x_[j], y_[j], z_[j]});
                     T dist2 = norm2(d);
-                    if (dist2 < r2) f(j, dist2);
+                    if (within.contains(dist2)) f(j, dist2);
                 }
             }
             else

@@ -100,7 +100,7 @@ struct BackendFixture
         hp.targetNeighbors = 60;
         hp.tolerance       = 10;
         updateSmoothingLengths(ps, tree, nl, hp);
-        symmetrizeNeighborList(nl);
+        symmetrizeNeighborList(ps.x, ps.y, ps.z, ps.h, box, nl);
         fillUpstream(ps);
     }
 

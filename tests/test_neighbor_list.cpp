@@ -2,13 +2,27 @@
 /// (NeighborList::row) the backend kernels consume: one lookup returning
 /// both the entry pointer and the count, aliasing the same storage as
 /// neighbors(i), iterable, and stable across steady-state resets.
+///
+/// Plus the pair-symmetrization pass of phase D (symmetrizeNeighborList):
+/// exact row equality with the serial oracle (symmetrize_oracle.hpp) on
+/// random, lattice, periodic, mirror-ghost and overflowing sets at pools
+/// {1,4} under all six strategies; a storage-permutation metamorphic test;
+/// and the debug-build precondition check.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <set>
 #include <vector>
 
+#include "ic/dam_break.hpp"
+#include "ic/lattice.hpp"
+#include "math/rng.hpp"
+#include "sph/boundaries.hpp"
+#include "sph/smoothing_length.hpp"
+#include "symmetrize_oracle.hpp"
 #include "tree/neighbors.hpp"
 
 using namespace sphexa;
@@ -106,6 +120,28 @@ TEST(NeighborListRow, CountsCapAtNgmaxAndFlagOverflow)
         EXPECT_EQ(row.data[k], many[k]);
 }
 
+TEST(NeighborListRow, AppendExtendsRowAndTruncatesLikeSet)
+{
+    const unsigned ngmax = 6;
+    NeighborList<double> nl(2, ngmax);
+    std::vector<Index> head{4, 2}, tail{9, 7, 5};
+    nl.set(0, head);
+    nl.append(0, tail);
+    std::vector<Index> row0(nl.row(0).begin(), nl.row(0).end());
+    EXPECT_EQ(row0, (std::vector<Index>{4, 2, 9, 7, 5}));
+    EXPECT_EQ(nl.overflowCount(), 0u);
+
+    // past capacity: keep the first ngmax entries, count one overflow
+    nl.append(0, tail);
+    std::vector<Index> full(nl.row(0).begin(), nl.row(0).end());
+    EXPECT_EQ(full, (std::vector<Index>{4, 2, 9, 7, 5, 9}));
+    EXPECT_EQ(nl.overflowCount(), 1u);
+    nl.append(0, tail); // a full row stays full and overflows again
+    EXPECT_EQ(nl.count(0), ngmax);
+    EXPECT_EQ(nl.overflowCount(), 2u);
+    EXPECT_EQ(nl.count(1), 0u);
+}
+
 TEST(NeighborListRow, StableAcrossSteadyStateReset)
 {
     NeighborList<double> nl(8, 16);
@@ -119,4 +155,282 @@ TEST(NeighborListRow, StableAcrossSteadyStateReset)
 
     fillRamp(nl, 8, 5);
     EXPECT_EQ(nl.row(3).count, 5u);
+}
+
+// --- phase D: pair symmetrization --------------------------------------------
+
+namespace {
+
+constexpr SchedulingStrategy kStrategies[] = {
+    SchedulingStrategy::Static,    SchedulingStrategy::SelfScheduling,
+    SchedulingStrategy::Guided,    SchedulingStrategy::Trapezoid,
+    SchedulingStrategy::Factoring, SchedulingStrategy::AdaptiveWeightedFactoring};
+
+struct PoolSizeGuard
+{
+    std::size_t saved;
+    explicit PoolSizeGuard(std::size_t n) : saved(WorkerPool::instance().size())
+    {
+        WorkerPool::instance().resize(n);
+    }
+    ~PoolSizeGuard() { WorkerPool::instance().resize(saved); }
+};
+
+/// Uniform random cloud in \p box with smoothing lengths drawn from
+/// [hLo, hHi], so that many pairs are one-sided; ids are the slots.
+ParticleSetD randomCloud(std::size_t n, const Box<double>& box, double hLo, double hHi,
+                         std::uint64_t seed)
+{
+    ParticleSetD ps;
+    ps.resize(n);
+    Xoshiro256pp rng(seed);
+    for (std::size_t i = 0; i < n; ++i)
+    {
+        ps.x[i]  = rng.uniform(box.lo.x, box.hi.x);
+        ps.y[i]  = rng.uniform(box.lo.y, box.hi.y);
+        ps.z[i]  = rng.uniform(box.lo.z, box.hi.z);
+        ps.h[i]  = rng.uniform(hLo, hHi);
+        ps.id[i] = i;
+    }
+    return ps;
+}
+
+/// Phase-B lists for the set's current x and h (global walk).
+NeighborList<double> searchLists(const ParticleSetD& ps, const Box<double>& box,
+                                 unsigned ngmax = 384)
+{
+    Octree<double> tree;
+    tree.build(ps.x, ps.y, ps.z, box);
+    NeighborList<double> nl(ps.size(), ngmax);
+    findNeighborsGlobal(tree, ps.x, ps.y, ps.z, ps.h, nl);
+    return nl;
+}
+
+/// Lists and h converged by the smoothing-length iteration (phases B + C),
+/// as the pipeline hands them to phase D.
+NeighborList<double> convergedLists(ParticleSetD& ps, const Box<double>& box,
+                                    unsigned targetNeighbors)
+{
+    Octree<double> tree;
+    tree.build(ps.x, ps.y, ps.z, box);
+    NeighborList<double> nl(ps.size(), 384);
+    SmoothingLengthParams<double> hp;
+    hp.targetNeighbors = targetNeighbors;
+    hp.tolerance       = 5;
+    updateSmoothingLengths(ps, tree, nl, hp);
+    return nl;
+}
+
+/// Same counts, same entries in the same order, same overflow tally.
+void expectListsIdentical(const NeighborList<double>& a, const NeighborList<double>& b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    ASSERT_EQ(a.overflowCount(), b.overflowCount());
+    for (std::size_t i = 0; i < a.size(); ++i)
+    {
+        auto na = a.neighbors(i);
+        auto nb = b.neighbors(i);
+        ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end())) << "row " << i;
+    }
+}
+
+/// The gate: the parallel pass reproduces the oracle exactly, for pools
+/// {1,4} under every scheduling strategy. Returns the number of entries
+/// the oracle appended, so callers can insist the set exercises the pass.
+std::size_t expectMatchesOracle(const ParticleSetD& ps, const Box<double>& box,
+                                const NeighborList<double>& searched, bool withIds = true)
+{
+    std::span<const std::uint64_t> ids;
+    if (withIds) ids = ps.id;
+    NeighborList<double> ref = searched;
+    oracle::symmetrizeNeighborListOracle(ref, ids);
+
+    for (std::size_t pool : {1, 4})
+    {
+        PoolSizeGuard guard(pool);
+        for (auto strategy : kStrategies)
+        {
+            SCOPED_TRACE(testing::Message() << "pool " << pool << ", strategy "
+                                            << schedulingName(strategy));
+            std::vector<double> awf(pool, 1.0);
+            awf[0] = 2.5; // uneven AWF chunks
+            LoopPolicy pol;
+            pol.strategy = strategy;
+            if (strategy == SchedulingStrategy::AdaptiveWeightedFactoring) pol.awfWeights = &awf;
+
+            NeighborList<double> nl = searched;
+            symmetrizeNeighborList(ps.x, ps.y, ps.z, ps.h, box, nl, ids, pol);
+            expectListsIdentical(ref, nl);
+        }
+    }
+    return ref.totalNeighbors() - searched.totalNeighbors();
+}
+
+} // namespace
+
+TEST(NeighborSymmetrize, MatchesOracleOnRandomCloud)
+{
+    Box<double> box{{0, 0, 0}, {1, 1, 1}};
+    auto ps = randomCloud(900, box, 0.04, 0.09, 3);
+    auto nl = searchLists(ps, box);
+    EXPECT_GT(expectMatchesOracle(ps, box, nl), 0u);
+}
+
+TEST(NeighborSymmetrize, MatchesOracleOnJitteredLattice)
+{
+    ParticleSetD ps;
+    Box<double> box{{0, 0, 0}, {1, 1, 1}};
+    cubicLattice(ps, 11, 11, 11, box);
+    jitterPositions(ps, box, 1.0 / 11.0, 0.3, 17);
+    for (std::size_t i = 0; i < ps.size(); ++i)
+        ps.h[i] = initialSmoothingLength(ps.size(), box, 50u);
+    // the open box's faces leave particles short of neighbors, so the
+    // h iteration spreads h and the lists become one-sided
+    auto nl = convergedLists(ps, box, 50);
+    EXPECT_GT(expectMatchesOracle(ps, box, nl), 0u);
+}
+
+TEST(NeighborSymmetrize, MatchesOracleOnPeriodicCloud)
+{
+    // supports reach across every face: minimum-image pairs on both sides
+    Box<double> box{{-0.5, -0.5, -0.5}, {0.5, 0.5, 0.5}, true, true, true};
+    auto ps = randomCloud(900, box, 0.04, 0.1, 5);
+    auto nl = searchLists(ps, box);
+    EXPECT_GT(expectMatchesOracle(ps, box, nl), 0u);
+}
+
+TEST(NeighborSymmetrize, MatchesOracleOnDamBreakWithMirrorGhosts)
+{
+    ParticleSetD ps;
+    DamBreakConfig<double> dcfg;
+    dcfg.nx = 10;
+    dcfg.ny = 20;
+    dcfg.nz = 3;
+    auto setup = makeDamBreak(ps, dcfg);
+    auto cfg   = damBreakConfig(dcfg, setup);
+    std::size_t nReal   = ps.size();
+    std::size_t nGhosts = appendMirrorGhosts(ps, setup.box, cfg.boundaries);
+    ASSERT_GT(nGhosts, 0u);
+    // mirror ghosts copy their source's id: the slot tie-break is live
+    std::set<std::uint64_t> distinct(ps.id.begin(), ps.id.end());
+    ASSERT_EQ(distinct.size(), nReal);
+
+    auto nl = convergedLists(ps, setup.box, 50);
+    EXPECT_GT(expectMatchesOracle(ps, setup.box, nl), 0u);
+}
+
+TEST(NeighborSymmetrize, MatchesOracleWhenRowsOverflow)
+{
+    // dense cloud, small ngmax: search rows truncate at capacity (the
+    // pass must scan those instead of trusting the predicate) and
+    // appends push further rows past ngmax
+    Box<double> box{{0, 0, 0}, {1, 1, 1}};
+    auto ps = randomCloud(500, box, 0.08, 0.2, 9);
+    auto nl = searchLists(ps, box, 24);
+    ASSERT_GT(nl.overflowCount(), 0u);
+    std::size_t below = 0;
+    for (std::size_t i = 0; i < nl.size(); ++i)
+        below += nl.count(i) < nl.ngmax();
+    ASSERT_GT(below, 0u); // a mix of capacity and predicate rows
+    EXPECT_GT(expectMatchesOracle(ps, box, nl), 0u);
+}
+
+TEST(NeighborSymmetrize, MatchesOracleWithoutIds)
+{
+    // ids that disagree with slot order: an empty ids span must order the
+    // appended runs by slot, as the oracle does
+    Box<double> box{{0, 0, 0}, {1, 1, 1}};
+    auto ps = randomCloud(700, box, 0.05, 0.1, 13);
+    for (std::size_t i = 0; i < ps.size(); ++i)
+        ps.id[i] = ps.size() - 1 - i;
+    auto nl = searchLists(ps, box);
+    EXPECT_GT(expectMatchesOracle(ps, box, nl, /*withIds*/ false), 0u);
+
+    NeighborList<double> empty(0, 16);
+    symmetrizeNeighborList(ps.x, ps.y, ps.z, ps.h, box, empty);
+    EXPECT_EQ(empty.size(), 0u);
+    EXPECT_EQ(empty.overflowCount(), 0u);
+}
+
+TEST(NeighborSymmetrize, StoragePermutationPermutesRowsAndAppendedTails)
+{
+    // metamorphic: shuffle particle storage, search and symmetrize again;
+    // un-permuted by id, every row holds the same neighbor set and the
+    // same appended tail, entry for entry
+    Box<double> box{{-0.5, -0.5, -0.5}, {0.5, 0.5, 0.5}, true, true, true};
+    auto ps = randomCloud(800, box, 0.04, 0.09, 21);
+
+    std::vector<std::size_t> perm(ps.size());
+    std::iota(perm.begin(), perm.end(), std::size_t(0));
+    Xoshiro256pp rng(99);
+    for (std::size_t k = perm.size(); k > 1; --k)
+        std::swap(perm[k - 1], perm[rng.uniformInt(k)]);
+    ParticleSetD shuffled = ps;
+    shuffled.reorder(perm);
+
+    PoolSizeGuard guard(4);
+    struct Run
+    {
+        NeighborList<double> nl;
+        std::vector<unsigned> searched; ///< row counts before phase D
+    };
+    auto run = [&box](const ParticleSetD& set) {
+        Run r{searchLists(set, box), {}};
+        for (std::size_t i = 0; i < set.size(); ++i)
+            r.searched.push_back(r.nl.count(i));
+        symmetrizeNeighborList(set.x, set.y, set.z, set.h, box, r.nl,
+                               std::span<const std::uint64_t>(set.id));
+        return r;
+    };
+    Run a = run(ps);
+    Run b = run(shuffled);
+
+    std::vector<std::size_t> slotOfId(ps.size());
+    for (std::size_t k = 0; k < shuffled.size(); ++k)
+        slotOfId[shuffled.id[k]] = k;
+
+    std::size_t appended = 0;
+    for (std::size_t id = 0; id < ps.size(); ++id)
+    {
+        std::size_t ia = id; // ps keeps identity ids
+        std::size_t ib = slotOfId[id];
+        auto rowA      = a.nl.neighbors(ia);
+        auto rowB      = b.nl.neighbors(ib);
+        ASSERT_EQ(rowA.size(), rowB.size()) << "id " << id;
+        ASSERT_EQ(a.searched[ia], b.searched[ib]) << "id " << id;
+
+        std::multiset<std::uint64_t> setA, setB;
+        for (auto j : rowA)
+            setA.insert(ps.id[j]);
+        for (auto j : rowB)
+            setB.insert(shuffled.id[j]);
+        EXPECT_EQ(setA, setB) << "id " << id;
+
+        std::vector<std::uint64_t> tailA, tailB;
+        for (std::size_t k = a.searched[ia]; k < rowA.size(); ++k)
+            tailA.push_back(ps.id[rowA[k]]);
+        for (std::size_t k = b.searched[ib]; k < rowB.size(); ++k)
+            tailB.push_back(shuffled.id[rowB[k]]);
+        EXPECT_EQ(tailA, tailB) << "id " << id;
+        appended += tailA.size();
+    }
+    EXPECT_GT(appended, 0u);
+}
+
+TEST(NeighborSymmetrizeDeathTest, ListsStaleForCurrentHFailInDebugBuilds)
+{
+#ifdef NDEBUG
+    GTEST_SKIP() << "the precondition check is compiled into debug builds only";
+#else
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    Box<double> box{{0, 0, 0}, {1, 1, 1}};
+    auto ps = randomCloud(300, box, 0.08, 0.12, 31);
+    auto nl = searchLists(ps, box);
+    // shrink h after the search: the lists no longer satisfy the forward
+    // predicate, so the pass must refuse them rather than mis-symmetrize
+    for (auto& hi : ps.h)
+        hi *= 0.5;
+    EXPECT_DEATH(symmetrizeNeighborList(ps.x, ps.y, ps.z, ps.h, box, nl),
+                 "not built by the search");
+#endif
 }

@@ -370,7 +370,7 @@ TEST_P(ConservationSweep, PairwiseForcesConserveMomentum)
         computeIadCoefficients(f.ps, f.nl, kernel, f.box);
     }
     computeDivCurl(f.ps, f.nl, kernel, f.box, GetParam());
-    symmetrizeNeighborList(f.nl);
+    symmetrizeNeighborList(f.ps.x, f.ps.y, f.ps.z, f.ps.h, f.box, f.nl);
     computeMomentumEnergy(f.ps, f.nl, kernel, f.box, GetParam());
 
     // total force and total energy rate must vanish (pairwise antisymmetry)
@@ -523,7 +523,7 @@ TEST(NeighborSymmetrize, MakesListsSymmetric)
     for (std::size_t i = 0; i < 20; ++i)
         f.ps.h[i] *= 1.3;
     findNeighborsGlobal(f.tree, f.ps.x, f.ps.y, f.ps.z, f.ps.h, f.nl);
-    symmetrizeNeighborList(f.nl);
+    symmetrizeNeighborList(f.ps.x, f.ps.y, f.ps.z, f.ps.h, f.box, f.nl);
 
     for (std::size_t i = 0; i < f.ps.size(); ++i)
     {
