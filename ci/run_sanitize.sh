@@ -43,8 +43,8 @@ cmake -B "$BUILD" -S . \
     -DSPHEXA_BUILD_EXAMPLES=OFF \
     -DSPHEXA_WERROR="${SPHEXA_WERROR:-OFF}"
 
-# only the four suites the tier2-sanitize label selects
+# only the five suites the tier2-sanitize label selects
 cmake --build "$BUILD" -j --target test_parallel_for test_cluster_list test_neighbor_list \
-    test_golden
+    test_backend test_golden
 
 ctest --test-dir "$BUILD" --output-on-failure -L tier2-sanitize --no-tests=error

@@ -18,8 +18,12 @@
 ///    (tolerance-gated in tests/test_backend.cpp, see ARCHITECTURE.md).
 ///
 /// The selection is a SimulationConfig field plumbed by the drivers through
-/// StepContext into the PipelineFactory phase ops; standalone callers of
-/// computeDensity & friends get the Scalar path by default.
+/// StepContext into the PipelineFactory phase ops. Two defaults differ on
+/// purpose: SimulationConfig::kernelBackend is Simd, so both drivers and
+/// every preset run the lane kernels (the fast path, see config.hpp); a
+/// default-constructed ComputeBackend<T>{} is Scalar, so standalone
+/// callers of computeDensity & friends get the bitwise reference loops
+/// unless they ask for lanes.
 
 #include <cstdlib>
 #include <string_view>
@@ -63,7 +67,7 @@ class LaneKernel;
 template<class T>
 struct ComputeBackend
 {
-    KernelBackend kind = KernelBackend::Scalar;
+    KernelBackend kind = KernelBackend::Scalar; ///< standalone default: the reference
     const LaneKernel<T>* lanes = nullptr;
 };
 

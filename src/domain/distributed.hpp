@@ -55,6 +55,8 @@ struct RankStepReport
     /// (the intra-rank load-balance axis of the POP hierarchy).
     std::array<PhaseLoadStats, phaseCount> phaseLoad{};
     double decompositionSeconds = 0;
+    /// Halo exchange plus the ghost-field refreshes between segments
+    /// (each split evenly across ranks, like the decomposition time).
     double haloSeconds = 0;
     std::size_t localParticles = 0;
     std::size_t ghostParticles = 0;
@@ -148,28 +150,9 @@ public:
         // events carry the step id the returned report will have
         if (log_) log_->beginStep(stepCount_ + 1);
 
-        // phase J part 1: global dt from the current forces, then
-        // first kick + drift on every rank
-        std::vector<T> dtContrib(comm_.size());
-        for (int r = 0; r < comm_.size(); ++r)
-        {
-            T dtMin = cfg_.timestep.maxDt;
-            auto& ps = locals_[r];
-            for (std::size_t i = 0; i < ps.size(); ++i)
-            {
-                dtMin = std::min(dtMin,
-                                 particleTimestep(ps, i, lastMaxVsig_, cfg_.timestep));
-            }
-            dtContrib[r] = dtMin;
-        }
-        T dtStep = comm_.allreduceMin<T>(dtContrib);
-        if (firstStep_)
-        {
-            dtStep = std::min(dtStep, cfg_.timestep.initialDt);
-            firstStep_ = false;
-        }
         // phase J runs under the configured strategy on every rank, like
-        // the pipeline phases; drift + energy times join the rank's J slot
+        // the pipeline phases; dt scan, drift and energy times join the
+        // rank's J slot
         rankAwf_.resize(comm_.size());
         std::vector<PhaseLoadStats> jLoad(comm_.size());
         std::vector<double> jSeconds(comm_.size(), 0.0);
@@ -184,11 +167,28 @@ public:
             pol.stats = &jLoad[r];
             return pol;
         };
+
+        // phase J part 1: global dt from the current forces, then
+        // first kick + drift on every rank
+        std::vector<T> dtContrib(comm_.size());
+        for (int r = 0; r < comm_.size(); ++r)
+        {
+            Timer t;
+            dtContrib[r] = minParticleTimestep(locals_[r], lastMaxVsig_, cfg_.timestep,
+                                               jPolicyFor(r), [](std::size_t, T) {});
+            jSeconds[r] = t.elapsed();
+        }
+        T dtStep = comm_.allreduceMin<T>(dtContrib);
+        if (firstStep_)
+        {
+            dtStep = std::min(dtStep, cfg_.timestep.initialDt);
+            firstStep_ = false;
+        }
         for (int r = 0; r < comm_.size(); ++r)
         {
             Timer t;
             kickDrift(locals_[r], dtStep, box_, jPolicyFor(r));
-            jSeconds[r] = t.elapsed();
+            jSeconds[r] += t.elapsed();
         }
 
         // forces at the new positions (decompose, halos, phases A..I)
@@ -308,6 +308,7 @@ private:
             rep.ranks[r].ghostParticles = locals_[r].size() - nLocal_[r];
         }
         const auto& segments = pipeline_.segments();
+        double refreshSeconds = 0;
         for (std::size_t s = 0; s < segments.size(); ++s)
         {
             for (int r = 0; r < P; ++r)
@@ -316,12 +317,16 @@ private:
             }
             if (!segments[s].haloFieldsAfter.empty())
             {
+                Timer t;
                 refreshHaloFields(comm_, locals_, maps_, segments[s].haloFieldsAfter,
                                   nLocal_);
+                refreshSeconds += t.elapsed();
             }
         }
         for (int r = 0; r < P; ++r)
         {
+            // the ghost-field refreshes between segments are halo traffic too
+            rep.ranks[r].haloSeconds += refreshSeconds / P;
             rankVsig_[r] = ctxs[r].maxVsignal;
             rep.ranks[r].neighborInteractions = ctxs[r].neighborInteractions;
             rep.ranks[r].phaseLoad            = ctxs[r].phaseLoad;

@@ -109,6 +109,29 @@ T particleTimestep(const ParticleSet<T>& ps, std::size_t i, T maxVsignal, const 
     return std::min({dtCfl, dtAcc, par.maxDt});
 }
 
+/// Minimum of particleTimestep over the whole set (capped at par.maxDt),
+/// with store(i, dti) called on every particle's candidate. An exact min
+/// over per-worker partials: a selection, not an accumulation, so bitwise
+/// stable for any pool size or chunking.
+template<class T, class Store>
+T minParticleTimestep(const ParticleSet<T>& ps, T maxVsignal, const TimestepParams<T>& par,
+                      const LoopPolicy& policy, Store&& store)
+{
+    std::vector<WorkerSlot<T>> workerMin(parallelForWorkers(), WorkerSlot<T>{par.maxDt});
+    parallelFor(
+        ps.size(),
+        [&](std::size_t i, std::size_t worker) {
+            T dti = particleTimestep(ps, i, maxVsignal, par);
+            store(i, dti);
+            workerMin[worker].value = std::min(workerMin[worker].value, dti);
+        },
+        policy);
+    T dtMin = par.maxDt;
+    for (const auto& v : workerMin)
+        dtMin = std::min(dtMin, v.value);
+    return dtMin;
+}
+
 /// Controller holding the time-step state across the simulation loop.
 template<class T>
 class TimestepController
@@ -217,23 +240,8 @@ public:
 private:
     void advanceGlobal(ParticleSet<T>& ps, T maxVsignal, const LoopPolicy& policy)
     {
-        std::size_t n = ps.size();
-
-        // exact min reduction over per-worker partials (selection, not
-        // accumulation: bitwise stable for any pool size or chunking)
-        std::vector<WorkerSlot<T>> workerMin(parallelForWorkers(),
-                                             WorkerSlot<T>{par_.maxDt});
-        parallelFor(
-            n,
-            [&](std::size_t i, std::size_t worker) {
-                T dti = particleTimestep(ps, i, maxVsignal, par_);
-                ps.dt[i] = dti;
-                workerMin[worker].value = std::min(workerMin[worker].value, dti);
-            },
-            policy);
-        T dtMin = par_.maxDt;
-        for (const auto& v : workerMin)
-            dtMin = std::min(dtMin, v.value);
+        T dtMin = minParticleTimestep(ps, maxVsignal, par_, policy,
+                                      [&](std::size_t i, T dti) { ps.dt[i] = dti; });
         if (firstStep_)
         {
             firstStep_ = false;
@@ -263,21 +271,10 @@ private:
         {
             // every particle's interval ends here and the previous force
             // pass covered the whole set: re-derive the hierarchy from
-            // scratch (exact per-worker min reduction as in Global mode)
-            std::vector<WorkerSlot<T>> workerMin(parallelForWorkers(),
-                                                 WorkerSlot<T>{par_.maxDt});
+            // scratch (the same exact min reduction as in Global mode)
             cand_.resize(n);
-            parallelFor(
-                n,
-                [&](std::size_t i, std::size_t worker) {
-                    T dti    = particleTimestep(ps, i, maxVsignal, par_);
-                    cand_[i] = dti;
-                    workerMin[worker].value = std::min(workerMin[worker].value, dti);
-                },
-                policy);
-            T dtMin = par_.maxDt;
-            for (const auto& v : workerMin)
-                dtMin = std::min(dtMin, v.value);
+            T dtMin = minParticleTimestep(ps, maxVsignal, par_, policy,
+                                          [&](std::size_t i, T dti) { cand_[i] = dti; });
 
             cycleStart_ = s;
             if (firstStep_)

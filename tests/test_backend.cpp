@@ -9,7 +9,9 @@
 ///  - Simd results are themselves BITWISE invariant across worker-pool
 ///    sizes and all six scheduling strategies (fixed-order lane reduction);
 ///  - remainder tiles (count % laneWidth != 0) and empty neighbor lists
-///    are exact edge cases, not approximations.
+///    are exact edge cases, not approximations;
+///  - both drivers dispatch to Simd under the default config, and to the
+///    Scalar reference only when it is selected explicitly.
 
 #include <gtest/gtest.h>
 
@@ -18,14 +20,19 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "backend/kernel_backend.hpp"
 #include "backend/lane_kernel.hpp"
 #include "backend/simd_tile.hpp"
+#include "core/code_profiles.hpp"
+#include "core/simulation.hpp"
 #include "domain/box.hpp"
+#include "domain/distributed.hpp"
 #include "ic/lattice.hpp"
+#include "ic/square_patch.hpp"
 #include "math/rng.hpp"
 #include "sph/density.hpp"
 #include "sph/divcurl.hpp"
@@ -421,4 +428,104 @@ TEST(KernelBackendConfig, TabulatedKernelFallsBackToScalar)
     computeDensity(scalar, f.nl, tab, f.box);
     computeDensity(vec, f.nl, tab, f.box, {}, {}, simd());
     expectFieldBitwise(scalar.rho, vec.rho, "rho");
+}
+
+// --- default dispatch of both drivers ---------------------------------------
+
+namespace {
+
+/// A 12x12x6 rotating square patch (864 particles, Sinc kernel) with the
+/// config default backend, or \p backend when given.
+struct DispatchCase
+{
+    ParticleSetD ps;
+    SquarePatchSetup<double> setup;
+    SimulationConfig<double> cfg;
+};
+
+DispatchCase makeDispatchCase(std::optional<KernelBackend> backend)
+{
+    ParticleSetD ps;
+    SquarePatchConfig<double> pc;
+    pc.nx = pc.ny = 12;
+    pc.nz      = 6;
+    auto setup = makeSquarePatch(ps, pc);
+    SimulationConfig<double> cfg;
+    cfg.targetNeighbors   = 50;
+    cfg.neighborTolerance = 10;
+    if (backend) cfg.kernelBackend = *backend;
+    return {std::move(ps), setup, cfg};
+}
+
+/// Particle state after the first force pass and one step.
+ParticleSetD sharedStep(std::optional<KernelBackend> backend)
+{
+    auto c = makeDispatchCase(backend);
+    Simulation<double> sim(std::move(c.ps), c.setup.box, Eos<double>(c.setup.eos), c.cfg);
+    sim.computeForces();
+    sim.advance();
+    return sim.particles();
+}
+
+ParticleSetD distributedStep(std::optional<KernelBackend> backend, int ranks)
+{
+    auto c = makeDispatchCase(backend);
+    DistributedSimulation<double> sim(std::move(c.ps), c.setup.box,
+                                      Eos<double>(c.setup.eos), c.cfg, ranks);
+    sim.advance();
+    return sim.gather();
+}
+
+/// \p dflt (config default) equals \p simd in every field, bit for bit,
+/// and differs from \p scalar, but only within the Sinc parity tolerance.
+void expectDefaultDispatchesSimd(const ParticleSetD& dflt, const ParticleSetD& simd,
+                                 const ParticleSetD& scalar)
+{
+    ASSERT_EQ(dflt.size(), simd.size());
+    ASSERT_EQ(dflt.size(), scalar.size());
+    ASSERT_EQ(dflt.id, simd.id);
+    ASSERT_EQ(dflt.id, scalar.id);
+    const auto& names = ParticleSetD::realFieldNames();
+    auto d = dflt.realFields();
+    auto v = simd.realFields();
+    for (std::size_t f = 0; f < d.size(); ++f)
+    {
+        expectFieldBitwise(*v[f], *d[f], names[f].c_str());
+    }
+
+    double tol = parityTol(KernelType::Sinc);
+    expectFieldNear(scalar.rho, dflt.rho, tol, "rho");
+    expectFieldNear(scalar.c11, dflt.c11, tol, "c11");
+    expectFieldNear(scalar.divv, dflt.divv, tol, "divv");
+    expectFieldNear(scalar.ax, dflt.ax, tol, "ax");
+    expectFieldNear(scalar.du, dflt.du, tol, "du");
+    // the reassociated sums must show: equal rho would mean no dispatch
+    EXPECT_NE(scalar.rho, dflt.rho);
+}
+
+} // namespace
+
+TEST(KernelBackendConfig, DefaultIsSimdForConfigAndProfile)
+{
+    EXPECT_EQ(SimulationConfig<double>{}.kernelBackend, KernelBackend::Simd);
+    EXPECT_EQ(sphexaProfile<double>().config.kernelBackend, KernelBackend::Simd);
+    // the standalone phase entry points keep the Scalar reference
+    EXPECT_EQ(ComputeBackend<double>{}.kind, KernelBackend::Scalar);
+}
+
+TEST(KernelBackendConfig, DefaultSimulationStepDispatchesSimd)
+{
+    expectDefaultDispatchesSimd(sharedStep(std::nullopt), sharedStep(KernelBackend::Simd),
+                                sharedStep(KernelBackend::Scalar));
+}
+
+TEST(KernelBackendConfig, DefaultDistributedStepDispatchesSimd)
+{
+    for (int ranks : {1, 4})
+    {
+        SCOPED_TRACE("ranks=" + std::to_string(ranks));
+        expectDefaultDispatchesSimd(distributedStep(std::nullopt, ranks),
+                                    distributedStep(KernelBackend::Simd, ranks),
+                                    distributedStep(KernelBackend::Scalar, ranks));
+    }
 }

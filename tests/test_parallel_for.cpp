@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #ifdef _OPENMP
@@ -337,7 +338,8 @@ namespace {
 
 /// Run 5 Sedov steps under one (strategy, pool size) combination and return
 /// the final particle state.
-ParticleSetD runSedov(SchedulingStrategy strategy, std::size_t poolSize, bool gravity)
+ParticleSetD runSedov(SchedulingStrategy strategy, std::size_t poolSize, bool gravity,
+                      KernelBackend backend)
 {
     PoolSizeGuard guard(poolSize);
 #ifdef _OPENMP
@@ -356,6 +358,7 @@ ParticleSetD runSedov(SchedulingStrategy strategy, std::size_t poolSize, bool gr
     cfg.selfGravity       = gravity;
     if (gravity) cfg.gravity.softening = 1e-2;
     cfg.phaseSchedule.fill(strategy);
+    cfg.kernelBackend = backend;
 
     Simulation<double> sim(std::move(ps), setup.box, Eos<double>(setup.eos), cfg);
     sim.computeForces();
@@ -386,10 +389,11 @@ void expectBitwiseEqual(const ParticleSetD& ref, const ParticleSetD& got,
     }
 }
 
-void runInvarianceSuite(bool gravity)
+void runInvarianceSuite(bool gravity, KernelBackend backend)
 {
+    SCOPED_TRACE(std::string(kernelBackendName(backend)));
     // reference: STATIC on a single worker — the fully serial execution
-    ParticleSetD ref = runSedov(SchedulingStrategy::Static, 1, gravity);
+    ParticleSetD ref = runSedov(SchedulingStrategy::Static, 1, gravity, backend);
     ASSERT_GT(ref.size(), 0u);
 
     for (auto s : kAllStrategies)
@@ -397,7 +401,7 @@ void runInvarianceSuite(bool gravity)
         for (std::size_t pool : {1u, 2u, 4u})
         {
             if (s == SchedulingStrategy::Static && pool == 1) continue; // the reference
-            ParticleSetD got = runSedov(s, pool, gravity);
+            ParticleSetD got = runSedov(s, pool, gravity, backend);
             expectBitwiseEqual(ref, got,
                                std::string(schedulingName(s)) + "/pool=" +
                                    std::to_string(pool));
@@ -410,13 +414,15 @@ void runInvarianceSuite(bool gravity)
 /// 5 Sedov steps are bitwise identical across pool sizes {1,2,4} and all
 /// six scheduling strategies: every hot loop is accumulate-to-self and all
 /// reductions are exact (min/max selection), so chunk boundaries — even the
-/// timing-dependent ones of AWF — can never change physics.
+/// timing-dependent ones of AWF — can never change physics. The hydro suite
+/// runs under both compute backends; gravity (phase I) has no backend seam.
 TEST(ThreadStrategyInvariance, HydroPipelineIsBitwiseIdentical)
 {
-    runInvarianceSuite(/*gravity*/ false);
+    runInvarianceSuite(/*gravity*/ false, KernelBackend::Simd);
+    runInvarianceSuite(/*gravity*/ false, KernelBackend::Scalar);
 }
 
 TEST(ThreadStrategyInvariance, HydroGravityPipelineIsBitwiseIdentical)
 {
-    runInvarianceSuite(/*gravity*/ true);
+    runInvarianceSuite(/*gravity*/ true, SimulationConfig<double>{}.kernelBackend);
 }

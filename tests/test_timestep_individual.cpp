@@ -71,14 +71,14 @@ SimulationConfig<double> individualEvrardConfig()
     return cfg;
 }
 
-Simulation<double> makeIndividualEvrard(std::size_t nSide)
+Simulation<double> makeIndividualEvrard(std::size_t nSide,
+                                        SimulationConfig<double> cfg = individualEvrardConfig())
 {
     ParticleSetD ps;
     EvrardConfig<double> ic;
     ic.nSide   = nSide;
     auto setup = makeEvrard(ps, ic);
-    return Simulation<double>(std::move(ps), setup.box, Eos<double>(setup.eos),
-                              individualEvrardConfig());
+    return Simulation<double>(std::move(ps), setup.box, Eos<double>(setup.eos), cfg);
 }
 
 } // namespace
@@ -349,11 +349,14 @@ TEST(IndividualPipeline, BitwiseInvariantAcrossWorkerPools)
 {
     // the binned pipeline must produce bit-identical state for any worker
     // pool size: all reductions are per-worker selections, all SPH loops
-    // accumulate-to-self
+    // accumulate-to-self. Pinned to the Scalar reference loops; the Simd
+    // lanes are gated by SimdBackendDrivesActiveSubsetPhases above.
+    auto cfg          = individualEvrardConfig();
+    cfg.kernelBackend = KernelBackend::Scalar;
     auto runPools = [&](std::size_t pool) {
         std::size_t saved = WorkerPool::instance().size();
         WorkerPool::instance().resize(pool);
-        auto sim = makeIndividualEvrard(10);
+        auto sim = makeIndividualEvrard(10, cfg);
         sim.computeForces();
         sim.run(10);
         WorkerPool::instance().resize(saved);
