@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "backend/lane_kernel.hpp"
 #include "domain/box.hpp"
 #include "ic/lattice.hpp"
 #include "perf/timer.hpp"
@@ -43,7 +44,7 @@ int main()
         SmoothingLengthParams<double> hp;
         updateSmoothingLengths(ps, tree, nl, hp);
 
-        Kernel<double> kernel(KernelType::Sinc);
+        LaneKernel<double> kernel{Kernel<double>(KernelType::Sinc)};
         computeVolumeElementWeights(ps, VolumeElements::Standard);
         Timer t;
         computeDensity(ps, nl, kernel, box);

@@ -1,7 +1,9 @@
 /// \file bench_simd.cpp
-/// Backend sweep of the hot SPH sums (phases E-H: density, IAD, div/curl,
-/// momentum-energy): Scalar reference loops vs the Simd lane kernels
-/// (src/backend/) over a jittered gas lattice at N = 1e4 .. 1e6, in both
+/// Sweep of the hot SPH sums (phases E-H: density, IAD, div/curl,
+/// momentum-energy): the lane kernels the library ships (src/backend/,
+/// "simd" records) against the per-pair reference loops of
+/// tests/scalar_oracle.hpp ("scalar" records, run under the same
+/// parallelFor pool) over a jittered gas lattice at N = 1e4 .. 1e6, in both
 /// neighbor-list frames (per-particle tree walk on the seed layout, SFC
 /// sort + cluster search). Emits one JSON record per (N, mode, backend)
 /// point with per-phase timings — the data behind BENCH_simd.json:
@@ -9,12 +11,12 @@
 ///     ./bench_simd > BENCH_simd.json
 ///
 /// Two gates make this a regression fence, not just a report:
-///  - at the smallest size, the Simd results must be BITWISE invariant
+///  - at the smallest size, the lane results must be BITWISE invariant
 ///    across worker pools {1, 2, 4} and all six scheduling strategies
 ///    (the fixed-order lane reduction contract of docs/ARCHITECTURE.md);
-///  - at the largest size, combined E-H under Simd must beat Scalar by
-///    SPHEXA_SIMD_MIN_SPEEDUP (default 1.2x) in the shipping frame
-///    (cluster); below the gate the bench exits non-zero.
+///  - at the largest size, combined E-H on the lanes must beat the
+///    reference loops by SPHEXA_SIMD_MIN_SPEEDUP (default 1.2x) in the
+///    shipping frame (cluster); below the gate the bench exits non-zero.
 ///
 /// Environment:
 ///   SPHEXA_SIMD_MAXN=NNN          cap the sweep (default 1000000; CI uses
@@ -35,12 +37,12 @@
 #include <omp.h>
 #endif
 
-#include "backend/kernel_backend.hpp"
 #include "backend/lane_kernel.hpp"
 #include "bench_common.hpp"
 #include "ic/lattice.hpp"
 #include "parallel/parallel_for.hpp"
 #include "perf/timer.hpp"
+#include "scalar_oracle.hpp"
 #include "sph/density.hpp"
 #include "sph/divcurl.hpp"
 #include "sph/eos.hpp"
@@ -91,10 +93,10 @@ ParticleSetD makeCloud(std::size_t nSide, Box<double>& boxOut)
     return ps;
 }
 
-/// Scalar prerequisites so every timed phase starts from a physical state:
+/// Prerequisites so every timed phase starts from a physical state:
 /// volume elements, density, EOS, IAD coefficients, balsara switches.
 void fillUpstream(ParticleSetD& ps, const NeighborList<double>& nl,
-                  const Kernel<double>& kernel, const Box<double>& box)
+                  const LaneKernel<double>& kernel, const Box<double>& box)
 {
     computeVolumeElementWeights(ps, VolumeElements::Standard);
     computeDensity(ps, nl, kernel, box);
@@ -131,42 +133,62 @@ void setWorkers(std::size_t pool)
 #endif
 }
 
-/// Run the four force phases once under `be`, timing each; fold the lap
-/// times into the min-of-reps accumulator `p`.
+/// Run the four force phases once, timing each, on the lanes or on the
+/// reference loops; fold the lap times into the min-of-reps accumulator
+/// `p`. The reference bodies run under parallelFor on the same pool, so
+/// the speedup is the lanes' alone.
 void runPhases(ParticleSetD& ps, const NeighborList<double>& nl,
-               const Kernel<double>& kernel, const Box<double>& box,
-               const ComputeBackend<double>& be, Point& p, bool first)
+               const Kernel<double>& kernel, const LaneKernel<double>& lanes,
+               const Box<double>& box, bool onLanes, Point& p, bool first)
 {
     Timer t;
     auto fold = [&](double& slot, double got) {
         if (first || got < slot) slot = got;
     };
+    auto eachRow = [&](auto&& body) {
+        parallelFor(ps.size(), [&](std::size_t i, std::size_t) {
+            auto row = nl.row(i);
+            body(i, row.data, row.count);
+        });
+    };
+    const auto mode = GradientMode::IAD;
     t.reset();
-    computeDensity(ps, nl, kernel, box, {}, {}, be);
+    if (onLanes) computeDensity(ps, nl, lanes, box);
+    else eachRow([&](std::size_t i, auto* nb, std::size_t c) {
+        oracle::densityParticle(ps, i, nb, c, kernel, box);
+    });
     fold(p.densitySeconds, t.lap());
     t.reset();
-    computeIadCoefficients(ps, nl, kernel, box, {}, {}, be);
+    if (onLanes) computeIadCoefficients(ps, nl, lanes, box);
+    else eachRow([&](std::size_t i, auto* nb, std::size_t c) {
+        oracle::iadParticle(ps, i, nb, c, kernel, box);
+    });
     fold(p.iadSeconds, t.lap());
     t.reset();
-    computeDivCurl(ps, nl, kernel, box, GradientMode::IAD, {}, {}, be);
+    if (onLanes) computeDivCurl(ps, nl, lanes, box, mode);
+    else eachRow([&](std::size_t i, auto* nb, std::size_t c) {
+        oracle::divCurlParticle(ps, i, nb, c, kernel, box, mode);
+    });
     fold(p.divcurlSeconds, t.lap());
     t.reset();
-    computeMomentumEnergy(ps, nl, kernel, box, GradientMode::IAD, {}, {}, {}, be);
+    if (onLanes) computeMomentumEnergy(ps, nl, lanes, box, mode);
+    else eachRow([&](std::size_t i, auto* nb, std::size_t c) {
+        oracle::momentumEnergyParticle(ps, i, nb, c, kernel, box, mode,
+                                       ArtificialViscosity<double>{});
+    });
     fold(p.momentumSeconds, t.lap());
 }
 
-/// Bitwise gate at the smallest size: the Simd path must produce the exact
+/// Bitwise gate at the smallest size: the lanes must produce the exact
 /// same bits for every pool size in {1, 2, 4} under every scheduling
 /// strategy. Returns the number of mismatching (field, point) pairs.
 std::size_t checkSimdInvariance(const ParticleSetD& psBase, const NeighborList<double>& nl,
-                                const Kernel<double>& kernel, const LaneKernel<double>& lanes,
-                                const Box<double>& box)
+                                const LaneKernel<double>& lanes, const Box<double>& box)
 {
     constexpr std::array<SchedulingStrategy, 6> strategies{
         SchedulingStrategy::Static,    SchedulingStrategy::SelfScheduling,
         SchedulingStrategy::Guided,    SchedulingStrategy::Trapezoid,
         SchedulingStrategy::Factoring, SchedulingStrategy::AdaptiveWeightedFactoring};
-    ComputeBackend<double> be{KernelBackend::Simd, &lanes};
 
     auto run = [&](std::size_t pool, SchedulingStrategy strat) {
         setWorkers(pool);
@@ -175,10 +197,10 @@ std::size_t checkSimdInvariance(const ParticleSetD& psBase, const NeighborList<d
         std::vector<double> awf;
         if (strat == SchedulingStrategy::AdaptiveWeightedFactoring) pol.awfWeights = &awf;
         ParticleSetD ps = psBase;
-        computeDensity(ps, nl, kernel, box, {}, pol, be);
-        computeIadCoefficients(ps, nl, kernel, box, {}, pol, be);
-        computeDivCurl(ps, nl, kernel, box, GradientMode::IAD, {}, pol, be);
-        computeMomentumEnergy(ps, nl, kernel, box, GradientMode::IAD, {}, {}, pol, be);
+        computeDensity(ps, nl, lanes, box, {}, pol);
+        computeIadCoefficients(ps, nl, lanes, box, {}, pol);
+        computeDivCurl(ps, nl, lanes, box, GradientMode::IAD, {}, pol);
+        computeMomentumEnergy(ps, nl, lanes, box, GradientMode::IAD, {}, {}, pol);
         return ps;
     };
 
@@ -277,14 +299,12 @@ int main()
                 findNeighborsGlobal(tree, ps.x, ps.y, ps.z, ps.h, nl);
             }
             setWorkers(pool);
-            fillUpstream(ps, nl, kernel, box);
+            fillUpstream(ps, nl, lanes, box);
 
             double scalarTotal = 0;
             for (const char* backendName : {"scalar", "simd"})
             {
                 bool isSimd = std::string(backendName) == "simd";
-                ComputeBackend<double> be{
-                    isSimd ? KernelBackend::Simd : KernelBackend::Scalar, &lanes};
                 Point p;
                 p.n       = n;
                 p.pool    = pool;
@@ -292,7 +312,7 @@ int main()
                 p.backend = backendName;
                 for (std::size_t r = 0; r < reps; ++r)
                 {
-                    runPhases(ps, nl, kernel, box, be, p, r == 0);
+                    runPhases(ps, nl, kernel, lanes, box, isSimd, p, r == 0);
                 }
                 p.totalSeconds =
                     p.densitySeconds + p.iadSeconds + p.divcurlSeconds + p.momentumSeconds;
@@ -312,11 +332,11 @@ int main()
                                     : "");
             }
 
-            // bitwise pool/strategy invariance of the Simd path, smallest
+            // bitwise pool/strategy invariance of the lanes, smallest
             // size, seed-layout frame (cheap: 18 full E-H evaluations)
             if (side == sides.front() && std::string(mode) == "treewalk")
             {
-                invarianceMismatches = checkSimdInvariance(ps, nl, kernel, lanes, box);
+                invarianceMismatches = checkSimdInvariance(ps, nl, lanes, box);
                 invarianceChecked    = true;
                 setWorkers(pool);
             }

@@ -1,10 +1,10 @@
 #pragma once
 
 /// \file density_kernel.hpp
-/// Stateless per-particle density kernels (phase E of Algorithm 1), one per
-/// backend. The dispatch shell lives in sph/density.hpp; these functions
-/// hold the physics: the kx / d(kx)/dh sums over one neighbor row and the
-/// vol/rho/gradh epilogue.
+/// Stateless per-particle density kernel (phase E of Algorithm 1). The
+/// phase shell lives in sph/density.hpp; these functions hold the physics:
+/// the kx / d(kx)/dh sums over one neighbor row and the vol/rho/gradh
+/// epilogue.
 
 #include <cmath>
 #include <cstddef>
@@ -12,7 +12,6 @@
 #include "backend/lane_kernel.hpp"
 #include "backend/simd_tile.hpp"
 #include "domain/box.hpp"
-#include "math/vec.hpp"
 #include "sph/particles.hpp"
 
 namespace sphexa::backend {
@@ -32,34 +31,10 @@ inline void densityEpilogue(ParticleSet<T>& ps, std::size_t i, T hi, T kx, T dkx
     }
 }
 
-/// Scalar reference: the seed's per-pair loop, verbatim.
-template<class T, class KernelT, class Index>
-inline void densityParticle(ParticleSet<T>& ps, std::size_t i, const Index* nbrs,
-                            std::size_t count, const KernelT& kernel, const Box<T>& box)
-{
-    T hi = ps.h[i];
-    Vec3<T> pi{ps.x[i], ps.y[i], ps.z[i]};
-
-    // self contribution
-    T kx   = ps.xmass[i] * kernel.value(T(0), hi);
-    T dkxh = ps.xmass[i] * kernel.dh(T(0), hi);
-
-    for (std::size_t k = 0; k < count; ++k)
-    {
-        Index j   = nbrs[k];
-        Vec3<T> d = box.delta(pi, Vec3<T>{ps.x[j], ps.y[j], ps.z[j]});
-        T r = norm(d);
-        kx += ps.xmass[j] * kernel.value(r, hi);
-        dkxh += ps.xmass[j] * kernel.dh(r, hi);
-    }
-
-    densityEpilogue(ps, i, hi, kx, dkxh);
-}
-
-/// Simd lane tiles: gathered xmass/coordinate batches, per-lane partial kx
-/// and d(kx)/dh, fixed-order lane reduction. Per-pair arithmetic replicates
-/// the Scalar expressions (q = r/h divisions included); only the summation
-/// association differs.
+/// Lane tiles: gathered xmass/coordinate batches, per-lane partial kx and
+/// d(kx)/dh, fixed-order lane reduction. Per-pair arithmetic replicates the
+/// reference loop's expressions (tests/scalar_oracle.hpp, q = r/h divisions
+/// included); only the summation association differs.
 template<class T, class Index>
 inline void densityParticleSimd(ParticleSet<T>& ps, std::size_t i, const Index* nbrs,
                                 std::size_t count, const LaneKernel<T>& lanes,

@@ -1,9 +1,8 @@
 #pragma once
 
 /// \file divcurl_kernel.hpp
-/// Stateless per-particle velocity div/curl kernels (phase G of
-/// Algorithm 1), one per backend. The dispatch shell lives in
-/// sph/divcurl.hpp; these functions accumulate div v and curl v over one
+/// Stateless per-particle velocity div/curl kernel (phase G of
+/// Algorithm 1). The phase shell lives in sph/divcurl.hpp; these functions accumulate div v and curl v over one
 /// neighbor row (IAD or kernel-derivative gradients) and store the Balsara
 /// limiter.
 
@@ -29,46 +28,11 @@ inline void divCurlEpilogue(ParticleSet<T>& ps, std::size_t i, T div, const Vec3
     ps.balsara[i] = denom > T(0) ? std::abs(div) / denom : T(1);
 }
 
-/// Scalar reference: the seed's per-pair loop, verbatim.
-template<class T, class KernelT, class Index>
-inline void divCurlParticle(ParticleSet<T>& ps, std::size_t i, const Index* nbrs,
-                            std::size_t count, const KernelT& kernel, const Box<T>& box,
-                            GradientMode mode)
-{
-    Vec3<T> pi{ps.x[i], ps.y[i], ps.z[i]};
-    Vec3<T> vi{ps.vx[i], ps.vy[i], ps.vz[i]};
-    T div = T(0);
-    Vec3<T> curl{};
-
-    for (std::size_t k = 0; k < count; ++k)
-    {
-        Index j     = nbrs[k];
-        Vec3<T> rab = box.delta(pi, Vec3<T>{ps.x[j], ps.y[j], ps.z[j]});
-        T r = norm(rab);
-        Vec3<T> gw;
-        if (mode == GradientMode::IAD)
-        {
-            gw = iadGradient(ps, i, -rab, r, kernel);
-        }
-        else
-        {
-            if (r <= T(0)) continue;
-            gw = rab * (kernel.derivative(r, ps.h[i]) / r);
-        }
-        Vec3<T> vab = vi - Vec3<T>{ps.vx[j], ps.vy[j], ps.vz[j]};
-        T Vb = ps.vol[j];
-        // div v = -sum_b V_b v_ab . grad W ; curl v = +sum_b V_b v_ab x grad W
-        div -= Vb * dot(vab, gw);
-        curl += Vb * cross(vab, gw);
-    }
-
-    divCurlEpilogue(ps, i, div, curl);
-}
-
-/// Simd lane tiles. IAD lanes keep r = 0 pairs like the Scalar loop (their
-/// gradient is exactly zero); kernel-derivative lanes fold the Scalar
-/// `continue` into the validity multiplier with a safe divisor, so the
-/// surviving lanes' arithmetic is the Scalar per-pair sequence verbatim.
+/// Lane tiles. IAD lanes keep r = 0 pairs like the reference loop
+/// (tests/scalar_oracle.hpp; their gradient is exactly zero);
+/// kernel-derivative lanes fold its `continue` into the validity multiplier
+/// with a safe divisor, so the surviving lanes' arithmetic is the reference
+/// per-pair sequence verbatim.
 template<class T, class Index>
 inline void divCurlParticleSimd(ParticleSet<T>& ps, std::size_t i, const Index* nbrs,
                                 std::size_t count, const LaneKernel<T>& lanes,

@@ -1,9 +1,8 @@
 #pragma once
 
 /// \file iad_kernel.hpp
-/// Stateless per-particle IAD tau-matrix kernels (phase F of Algorithm 1),
-/// one per backend. The dispatch shell lives in sph/iad.hpp; these
-/// functions accumulate tau_ij = sum_b V_b (r_b - r_a)_i (r_b - r_a)_j W_ab
+/// Stateless per-particle IAD tau-matrix kernel (phase F of Algorithm 1).
+/// The phase shell lives in sph/iad.hpp; these functions accumulate tau_ij = sum_b V_b (r_b - r_a)_i (r_b - r_a)_j W_ab
 /// over one neighbor row and store the inverted coefficients c11..c33.
 
 #include <cmath>
@@ -13,7 +12,6 @@
 #include "backend/simd_tile.hpp"
 #include "domain/box.hpp"
 #include "math/matrix3.hpp"
-#include "math/vec.hpp"
 #include "sph/particles.hpp"
 
 namespace sphexa::backend {
@@ -31,29 +29,7 @@ inline void iadEpilogue(ParticleSet<T>& ps, std::size_t i, const SymMat3<T>& tau
     ps.c33[i] = c.zz;
 }
 
-/// Scalar reference: the seed's per-pair loop, verbatim.
-template<class T, class KernelT, class Index>
-inline void iadParticle(ParticleSet<T>& ps, std::size_t i, const Index* nbrs,
-                        std::size_t count, const KernelT& kernel, const Box<T>& box)
-{
-    T hi = ps.h[i];
-    Vec3<T> pi{ps.x[i], ps.y[i], ps.z[i]};
-    SymMat3<T> tau;
-
-    for (std::size_t k = 0; k < count; ++k)
-    {
-        Index j = nbrs[k];
-        // r_b - r_a, minimum image
-        Vec3<T> rba = -box.delta(pi, Vec3<T>{ps.x[j], ps.y[j], ps.z[j]});
-        T r = norm(rba);
-        T w = kernel.value(r, hi);
-        tau.addOuter(rba, ps.vol[j] * w);
-    }
-
-    iadEpilogue(ps, i, tau);
-}
-
-/// Simd lane tiles: six per-lane accumulators (one per independent tau
+/// Lane tiles: six per-lane accumulators (one per independent tau
 /// component), per-pair arithmetic replicating SymMat3::addOuter's
 /// expression order; fixed-order lane reduction.
 template<class T, class Index>
@@ -77,7 +53,7 @@ inline void iadParticleSimd(ParticleSet<T>& ps, std::size_t i, const Index* nbrs
         for (std::size_t l = 0; l < W; ++l)
         {
             // rba = -(minimum-image (r_a - r_b)): negate after the wrap,
-            // matching the Scalar -box.delta(...) exactly
+            // matching the reference loop's -box.delta(...) exactly
             bx[l] = -wrap.x(xi - ps.x[j[l]]);
             by[l] = -wrap.y(yi - ps.y[j[l]]);
             bz[l] = -wrap.z(zi - ps.z[j[l]]);

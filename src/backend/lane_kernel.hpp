@@ -2,26 +2,26 @@
 
 /// \file lane_kernel.hpp
 /// Branch-free lane evaluation of the SPH kernel shape functions f(q) and
-/// f'(q) for the Simd backend.
+/// f'(q) for the lane kernels of phases E-H.
 ///
-/// The closed-form families (spline, Wendland, spiky) replicate the exact
-/// FP expression sequence of Kernel<T>::fq/dfq (sph/kernels.hpp) with the
-/// piecewise branches turned into selects: a lane's value is bitwise the
-/// value the Scalar path computes for the same pair, so Simd-vs-Scalar
-/// differences for these kernels come from neighbor-sum re-association
-/// alone (tight tolerance gates in tests/test_backend.cpp).
+/// The closed-form families (spline, Wendland, spiky) call the same
+/// branch-free shape functions as Kernel<T>::fq/dfq (kernel_shape in
+/// sph/kernels.hpp): a lane's value is bitwise Kernel<T>'s value for the
+/// same q, so the lane sums differ from the per-pair reference loops
+/// (tests/scalar_oracle.hpp) by neighbor-sum re-association alone (tight
+/// tolerance gates in tests/test_backend.cpp).
 ///
 /// The sinc family has no branch-free closed form (std::pow of a
-/// transcendental per pair — also the Scalar path's dominant cost); the
-/// lane path evaluates it through the existing math/lookup_table.hpp
-/// tabulation of the normalized shape, SPHYNX-style. That is an
-/// approximation (~1e-8 relative at the default 20000 samples), so sinc
-/// Simd-vs-Scalar gates are correspondingly looser — and the table is why
-/// the Simd backend beats Scalar by far more than lane parallelism alone
-/// on the default sinc configuration (BENCH_simd.json).
+/// transcendental per pair — the reference loops' dominant cost); the
+/// lanes evaluate it through the math/lookup_table.hpp tabulation of the
+/// normalized shape, SPHYNX-style. That is an approximation (~1e-8
+/// relative at the default 20000 samples), so the sinc oracle gates are
+/// correspondingly looser — and the table is why the lanes beat the
+/// reference loops by far more than lane parallelism alone on the default
+/// sinc configuration (BENCH_simd.json).
 ///
 /// At q = 0 the table returns its exact first sample fq(0), so self
-/// contributions match the Scalar path bitwise for every kernel type.
+/// contributions equal Kernel<T>'s bitwise for every kernel type.
 
 #include <cstddef>
 
@@ -32,8 +32,9 @@
 namespace sphexa {
 
 /// Immutable lane evaluator for one kernel; cheap to share across threads
-/// (like Kernel, all evaluation is const). Drivers own one per simulation
-/// and hand it to the phase shells via ComputeBackend.
+/// (like Kernel, all evaluation is const). The kernel argument of the
+/// phase E-H shells: drivers own one per simulation and hand it to the
+/// phase ops through StepContext::kernel.
 template<class T>
 class LaneKernel
 {
@@ -67,6 +68,23 @@ public:
         df = dfq[0];
     }
 
+    /// W(r, h) and dW/dr from the lane shapes: the (r, h) interface of
+    /// Kernel<T>, so per-pair estimators (iadScalarGradient & co.) evaluate
+    /// the same W the phase E-H sums do.
+    T value(T r, T h) const
+    {
+        T f, df;
+        fdf(r / h, f, df);
+        return f / (h * h * h);
+    }
+
+    T derivative(T r, T h) const
+    {
+        T f, df;
+        fdf(r / h, f, df);
+        return df / (h * h * h * h);
+    }
+
     /// One tile of f(q), f'(q), branch-free across lanes. Lanes with
     /// q >= supportRadius produce exact zeros (select for the closed forms,
     /// the clamped-to-zero last table sample for sinc), so padded or
@@ -74,85 +92,49 @@ public:
     void fdf(const T (&q)[backend::kLaneWidth], T (&f)[backend::kLaneWidth],
              T (&df)[backend::kLaneWidth]) const
     {
-        constexpr std::size_t W = backend::kLaneWidth;
+        using namespace kernel_shape;
         switch (type_)
         {
             case KernelType::Sinc:
-                for (std::size_t l = 0; l < W; ++l)
+                for (std::size_t l = 0; l < backend::kLaneWidth; ++l)
                 {
                     f[l]  = fTable_(q[l]);
                     df[l] = dfTable_(q[l]);
                 }
-                break;
+                return;
             case KernelType::CubicSpline:
-                for (std::size_t l = 0; l < W; ++l)
-                {
-                    T qq = q[l];
-                    T t  = T(2) - qq;
-                    T fi = T(1) - T(1.5) * qq * qq + T(0.75) * qq * qq * qq;
-                    T fo = T(0.25) * t * t * t;
-                    T di = -T(3) * qq + T(2.25) * qq * qq;
-                    T dq = -T(0.75) * t * t;
-                    T fr = qq < T(1) ? fi : fo;
-                    T dr = qq < T(1) ? di : dq;
-                    f[l]  = qq >= T(2) ? T(0) : sigma_ * fr;
-                    df[l] = qq >= T(2) ? T(0) : sigma_ * dr;
-                }
-                break;
+                return closedForm<cubicSplineF<T>, cubicSplineDf<T>>(q, f, df);
             case KernelType::WendlandC2:
-                for (std::size_t l = 0; l < W; ++l)
-                {
-                    T qq = q[l];
-                    T t  = T(1) - qq / 2;
-                    T t2 = t * t;
-                    T fr = t2 * t2 * (T(2) * qq + T(1));
-                    T dr = -T(5) * qq * t * t * t;
-                    f[l]  = qq >= T(2) ? T(0) : sigma_ * fr;
-                    df[l] = qq >= T(2) ? T(0) : sigma_ * dr;
-                }
-                break;
+                return closedForm<wendlandC2F<T>, wendlandC2Df<T>>(q, f, df);
             case KernelType::WendlandC4:
-                for (std::size_t l = 0; l < W; ++l)
-                {
-                    T qq = q[l];
-                    T t  = T(1) - qq / 2;
-                    T t2 = t * t;
-                    T fr = t2 * t2 * t2 * ((T(35) / 12) * qq * qq + T(3) * qq + T(1));
-                    T dr = -(T(7) / 3) * qq * (T(5) * qq + T(2)) * t2 * t2 * t;
-                    f[l]  = qq >= T(2) ? T(0) : sigma_ * fr;
-                    df[l] = qq >= T(2) ? T(0) : sigma_ * dr;
-                }
-                break;
+                return closedForm<wendlandC4F<T>, wendlandC4Df<T>>(q, f, df);
             case KernelType::WendlandC6:
-                for (std::size_t l = 0; l < W; ++l)
-                {
-                    T qq = q[l];
-                    T t  = T(1) - qq / 2;
-                    T t2 = t * t;
-                    T t4 = t2 * t2;
-                    T fr = t4 * t4 *
-                           (T(4) * qq * qq * qq + (T(25) / 4) * qq * qq + T(4) * qq + T(1));
-                    T dr = -(T(11) / 4) * qq * (T(8) * qq * qq + T(7) * qq + T(2)) * t4 *
-                           t2 * t;
-                    f[l]  = qq >= T(2) ? T(0) : sigma_ * fr;
-                    df[l] = qq >= T(2) ? T(0) : sigma_ * dr;
-                }
-                break;
+                return closedForm<wendlandC6F<T>, wendlandC6Df<T>>(q, f, df);
             case KernelType::DebrunSpiky:
-                for (std::size_t l = 0; l < W; ++l)
-                {
-                    T qq = q[l];
-                    T t  = T(2) - qq;
-                    T fr = t * t * t;
-                    T dr = -T(3) * t * t;
-                    f[l]  = qq >= T(2) ? T(0) : sigma_ * fr;
-                    df[l] = qq >= T(2) ? T(0) : sigma_ * dr;
-                }
-                break;
+                return closedForm<debrunSpikyF<T>, debrunSpikyDf<T>>(q, f, df);
         }
+        // not a KernelType: zeros, like Kernel<T>::fqRaw's fallback
+        for (std::size_t l = 0; l < backend::kLaneWidth; ++l)
+            f[l] = df[l] = T(0);
     }
 
 private:
+    /// The lane loop of one closed-form shape (sph/kernels.hpp), with the
+    /// q >= 2 cut and sigma applied exactly as Kernel<T>::fq/dfq do.
+    template<T (*F)(T), T (*DF)(T)>
+    void closedForm(const T (&q)[backend::kLaneWidth], T (&f)[backend::kLaneWidth],
+                    T (&df)[backend::kLaneWidth]) const
+    {
+        for (std::size_t l = 0; l < backend::kLaneWidth; ++l)
+        {
+            T qq = q[l];
+            T fr = F(qq);
+            T dr = DF(qq);
+            f[l]  = qq >= T(2) ? T(0) : sigma_ * fr;
+            df[l] = qq >= T(2) ? T(0) : sigma_ * dr;
+        }
+    }
+
     KernelType type_;
     T sigma_;
     LookupTable<T> fTable_;  ///< sinc only: sigma-included f(q) over [0, 2]

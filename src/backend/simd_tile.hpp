@@ -1,17 +1,16 @@
 #pragma once
 
 /// \file simd_tile.hpp
-/// Lane-tiling primitives of the Simd backend: the fixed tile width, the
+/// Lane-tiling primitives of the phase E-H kernels: the fixed tile width, the
 /// hoisted minimum-image wrap, padded tile-index gathers and the
 /// fixed-order lane reductions.
 ///
-/// Determinism contract (docs/ARCHITECTURE.md, "Backend layer"): a Simd
+/// Determinism contract (docs/ARCHITECTURE.md, "Backend layer"): a lane
 /// kernel walks one particle's neighbor row in tiles of kLaneWidth lanes,
 /// accumulates per-lane partial sums, and reduces them in fixed index order
 /// 0..kLaneWidth-1. Tile boundaries depend only on the neighbor row — never
-/// on pool size, scheduling strategy or chunk boundaries — so Simd results
-/// are bitwise invariant across pools and strategies, exactly like the
-/// Scalar accumulate-to-self loops. Padded lanes replicate the last valid
+/// on pool size, scheduling strategy or chunk boundaries — so the results
+/// are bitwise invariant across pools and strategies. Padded lanes replicate the last valid
 /// neighbor index (no out-of-bounds gather, all arithmetic stays finite)
 /// and are annihilated by a 0/1 validity multiplier before accumulation.
 
@@ -31,7 +30,7 @@ inline constexpr std::size_t kLaneWidth = 8;
 /// loop. A non-periodic axis gets an infinite half-width so its selects
 /// never fire; a periodic axis reproduces Box::delta exactly — the same L/2
 /// threshold and single-subtraction corrections, expressed as selects so
-/// lane loops stay branch-free. Shared by the Simd phase kernels and the
+/// lane loops stay branch-free. Shared by the phase E-H lane kernels and the
 /// cluster member scan (tree/cluster_list.hpp), whose bitwise list equality
 /// with the per-particle walk depends on exactly this arithmetic.
 template<class T>
@@ -74,7 +73,7 @@ inline std::size_t tileIndices(const Index* nbrs, std::size_t base, std::size_t 
 }
 
 /// Fixed-order lane reduction: always 0 + 1 + ... + (kLaneWidth-1), the
-/// association the bitwise pool/strategy invariance of the Simd backend
+/// association the bitwise pool/strategy invariance of the lane kernels
 /// rests on.
 template<class T>
 inline T laneSum(const T (&acc)[kLaneWidth])

@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <string>
 
-#include "backend/kernel_backend.hpp"
 #include "core/phases.hpp"
 #include "math/vec.hpp"
 #include "parallel/schedulers.hpp"
@@ -199,20 +198,6 @@ struct SimulationConfig
     bool sfcReorder = true;
     bool parallelTreeBuild = false;  ///< SPHYNX v1.3.1 built its tree serially
     bool symmetrizeNeighbors = true; ///< exact pairwise momentum conservation
-
-    /// Compute backend of the hot SPH sums (phases E-H): the lane-tiled
-    /// Simd kernels in src/backend/ (default), or the Scalar reference
-    /// loops. Simd is the default because E-H dominate the Scalar step: on
-    /// Sedov 46^3 (perfbench sedov-hydro, 4 workers) it cuts the step from
-    /// ~1.65 s to ~0.65 s, mostly by reading the Sinc lookup table instead
-    /// of calling pow per pair. Contract: Simd is bitwise pool- and
-    /// strategy-invariant, and within relative tolerance of Scalar (~1e-11
-    /// for the closed-form kernels, ~1e-6 for Sinc) but never bitwise
-    /// equal to it, since the neighbor-sum association differs. Scalar
-    /// stays the reference oracle: tests select it explicitly, and the
-    /// golden gallery re-runs on it under SPHEXA_KERNEL_BACKEND=scalar.
-    /// See docs/ARCHITECTURE.md "Backend layer".
-    KernelBackend kernelBackend = KernelBackend::Simd;
 
     // --- CS features (Table 4), used by the distributed driver ---
     DecompositionMethod decomposition = DecompositionMethod::SpaceFillingCurve;

@@ -312,8 +312,7 @@ PhaseOp<T> density()
                 vePol.awfWeights = nullptr;
                 computeVolumeElementWeights(ctx.ps, ctx.cfg.volumeElements,
                                             ctx.cfg.veExponent, vePol);
-                computeDensity(ctx.ps, ctx.nl, ctx.kernel, ctx.box, ctx.activeSpan(), pol,
-                               ctx.computeBackend());
+                computeDensity(ctx.ps, ctx.nl, ctx.kernel, ctx.box, ctx.activeSpan(), pol);
             }};
 }
 
@@ -342,8 +341,7 @@ PhaseOp<T> eosAndIad()
                     eosPol);
                 if (ctx.cfg.gradients == GradientMode::IAD)
                 {
-                    computeIadCoefficients(ps, ctx.nl, ctx.kernel, ctx.box, act, pol,
-                                           ctx.computeBackend());
+                    computeIadCoefficients(ps, ctx.nl, ctx.kernel, ctx.box, act, pol);
                 }
             }};
 }
@@ -354,8 +352,7 @@ PhaseOp<T> divCurl()
     return {Phase::G_DivCurl, [](StepContext<T>& ctx) {
                 if (ctx.skipEmptyWalk()) return;
                 computeDivCurl(ctx.ps, ctx.nl, ctx.kernel, ctx.box, ctx.cfg.gradients,
-                               ctx.activeSpan(), ctx.loopPolicy(Phase::G_DivCurl),
-                               ctx.computeBackend());
+                               ctx.activeSpan(), ctx.loopPolicy(Phase::G_DivCurl));
             }};
 }
 
@@ -367,8 +364,7 @@ PhaseOp<T> momentumEnergy()
                 auto stats = computeMomentumEnergy(ctx.ps, ctx.nl, ctx.kernel, ctx.box,
                                                    ctx.cfg.gradients, ctx.cfg.av,
                                                    ctx.activeSpan(),
-                                                   ctx.loopPolicy(Phase::H_MomentumEnergy),
-                                                   ctx.computeBackend());
+                                                   ctx.loopPolicy(Phase::H_MomentumEnergy));
                 ctx.maxVsignal = stats.maxVsignal;
             }};
 }

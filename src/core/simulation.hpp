@@ -52,8 +52,7 @@ public:
         , box_(box)
         , eos_(std::move(eos))
         , cfg_(std::move(cfg))
-        , kernel_(cfg_.kernel, cfg_.sincExponent)
-        , laneKernel_(kernel_)
+        , kernel_(Kernel<T>(cfg_.kernel, cfg_.sincExponent))
         , nl_(ps_.size(), cfg_.ngmax)
         , controller_(cfg_.timestep)
         , pipeline_(PipelineFactory<T>::singleRank(cfg_))
@@ -73,7 +72,6 @@ public:
     ParticleSet<T>& particles() { return ps_; }
     const Box<T>& box() const { return box_; }
     const SimulationConfig<T>& config() const { return cfg_; }
-    const Kernel<T>& kernel() const { return kernel_; }
     const NeighborList<T>& neighborList() const { return nl_; }
     const Octree<T>& tree() const { return tree_; }
     T time() const { return time_; }
@@ -273,7 +271,6 @@ private:
         ctx.awf        = &awf_; // AWF weights persist across the driver's steps
         ctx.sorter     = &sorter_;    // phase L key/perm buffers persist too,
         ctx.clusters   = &clusterWs_; // as does the cluster-search scratch
-        ctx.laneKernel = &laneKernel_; // Simd backend tables persist as well
         // active-subset walks only under the binned integrator: mixing a
         // subset force pass with the global kick (stale du on inactive
         // particles) would silently violate the trapezoid energy update, so
@@ -307,8 +304,7 @@ private:
     Box<T> box_;
     Eos<T> eos_;
     SimulationConfig<T> cfg_;
-    Kernel<T> kernel_;
-    LaneKernel<T> laneKernel_; ///< Simd-backend lane tables, built once
+    LaneKernel<T> kernel_; ///< phase E-H kernel; its Sinc tables are built once
     Octree<T> tree_;
     NeighborList<T> nl_;
     GravitySolver<T> gravity_;

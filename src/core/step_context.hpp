@@ -19,7 +19,6 @@
 #include <string_view>
 #include <vector>
 
-#include "backend/kernel_backend.hpp"
 #include "backend/lane_kernel.hpp"
 #include "core/config.hpp"
 #include "core/phases.hpp"
@@ -91,7 +90,10 @@ struct StepContext
     ParticleSet<T>& ps;
     const Box<T>& box;
     const SimulationConfig<T>& cfg;
-    const Kernel<T>& kernel;
+    /// The kernel the SPH sums of phases E-H evaluate: the driver's lane
+    /// evaluator (backend/lane_kernel.hpp), whose Sinc tables are built
+    /// once per run and shared read-only by every rank's context.
+    const LaneKernel<T>& kernel;
     const Eos<T>& eos;
     Octree<T>& tree;
     NeighborList<T>& nl;
@@ -124,12 +126,6 @@ struct StepContext
     SfcSorter<T>* sorter = nullptr;
     ClusterWorkspace<T>* clusters = nullptr;
 
-    /// Driver-owned lane-evaluation tables/constants for the Simd backend
-    /// (backend/lane_kernel.hpp). Null-safe — the phase shells construct a
-    /// transient LaneKernel when the config selects Simd without one
-    /// (correct, just rebuilding the Sinc tables every dispatch).
-    const LaneKernel<T>* laneKernel = nullptr;
-
     // --- outputs, harvested into StepReport/driver state by the runner ---
     T maxVsignal{0};
     T potentialEnergy{0};
@@ -158,10 +154,6 @@ struct StepContext
         pol.stats = &phaseLoad[int(p)];
         return pol;
     }
-
-    /// The compute-backend selection the SPH phase shells dispatch on:
-    /// the config's choice plus the driver's persistent lane kernel.
-    ComputeBackend<T> computeBackend() const { return {cfg.kernelBackend, laneKernel}; }
 
     /// Index span the SPH kernels iterate: empty means "all particles"
     /// (the convention of computeDensity & friends).

@@ -106,8 +106,7 @@ public:
         , box_(box)
         , eos_(std::move(eos))
         , cfg_(std::move(cfg))
-        , kernel_(cfg_.kernel, cfg_.sincExponent)
-        , laneKernel_(kernel_)
+        , kernel_(Kernel<T>(cfg_.kernel, cfg_.sincExponent))
         , pipeline_(PipelineFactory<T>::distributed(cfg_))
         , locals_(nRanks)
         , maps_(nRanks)
@@ -300,7 +299,6 @@ private:
                                           rankTree_[r], rankNl_[r]});
             auto& ctx    = ctxs.back();
             ctx.awf      = &rankAwf_[r]; // per-rank AWF weights persist across steps
-            ctx.laneKernel = &laneKernel_; // shared: lane tables are read-only
             ctx.walkMode = WalkMode::LocalIndices;
             ctx.walkIndices.resize(nLocal_[r]);
             std::iota(ctx.walkIndices.begin(), ctx.walkIndices.end(), std::size_t(0));
@@ -534,8 +532,7 @@ private:
     Box<T> box_;
     Eos<T> eos_;
     SimulationConfig<T> cfg_;
-    Kernel<T> kernel_;
-    LaneKernel<T> laneKernel_; ///< Simd-backend lane tables, built once
+    LaneKernel<T> kernel_; ///< phase E-H kernel, shared read-only by every rank
     Propagator<T> pipeline_;
     PhaseEventLog* log_{nullptr};
 

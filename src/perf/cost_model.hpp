@@ -13,6 +13,7 @@
 
 #include <cstddef>
 
+#include "backend/lane_kernel.hpp"
 #include "core/simulation.hpp"
 #include "domain/box.hpp"
 #include "ic/lattice.hpp"
@@ -59,7 +60,7 @@ struct CostModel
             ps.u[i] = 1.0;
         }
 
-        Kernel<double> kernel(KernelType::Sinc);
+        LaneKernel<double> kernel{Kernel<double>(KernelType::Sinc)};
 
         // tree build
         Timer t;

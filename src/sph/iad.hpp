@@ -13,13 +13,10 @@
 /// which is exact for linear fields regardless of particle disorder (the
 /// property tested in test_sph_gradients.cpp).
 
-#include <optional>
 #include <span>
 #include <type_traits>
-#include <utility>
 
 #include "backend/iad_kernel.hpp"
-#include "backend/kernel_backend.hpp"
 #include "backend/lane_kernel.hpp"
 #include "domain/box.hpp"
 #include "math/matrix3.hpp"
@@ -42,46 +39,24 @@ constexpr std::string_view gradientModeName(GradientMode g)
     return g == GradientMode::KernelDerivative ? "Kernel derivatives" : "IAD";
 }
 
-/// Compute the IAD coefficient matrices C(a) = tau^{-1}(a) for all
-/// particles; stores the 6 independent components in c11..c33. A dispatch
-/// shell over backend/iad_kernel.hpp, selected by \p be (Scalar when
-/// defaulted; lane evaluation covers the analytic Kernel only).
-template<class T, class KernelT>
+/// Compute the IAD coefficient matrices C(a) = tau^{-1}(a) for every
+/// particle in \p active (all particles when empty); stores the 6
+/// independent components in c11..c33. Runs the per-particle lane kernel of
+/// backend/iad_kernel.hpp.
+template<class T>
 void computeIadCoefficients(ParticleSet<T>& ps, const NeighborList<T>& nl,
-                            const KernelT& kernel, const Box<T>& box,
+                            const LaneKernel<T>& kernel, const Box<T>& box,
                             std::type_identity_t<std::span<const std::size_t>> active = {},
-                            const LoopPolicy& policy = {}, const ComputeBackend<T>& be = {})
+                            const LoopPolicy& policy = {})
 {
     std::size_t count = active.empty() ? ps.size() : active.size();
-    if constexpr (std::is_same_v<KernelT, Kernel<T>>)
-    {
-        if (be.kind == KernelBackend::Simd)
-        {
-            std::optional<LaneKernel<T>> transient;
-            const LaneKernel<T>* lanes = be.lanes;
-            if (!lanes)
-            {
-                transient.emplace(kernel);
-                lanes = &*transient;
-            }
-            const backend::PeriodicWrap<T> wrap(box);
-            parallelFor(
-                count,
-                [&](std::size_t idx, std::size_t) {
-                    std::size_t i = active.empty() ? idx : active[idx];
-                    auto row = nl.row(i);
-                    backend::iadParticleSimd(ps, i, row.data, row.count, *lanes, wrap);
-                },
-                policy);
-            return;
-        }
-    }
+    const backend::PeriodicWrap<T> wrap(box);
     parallelFor(
         count,
         [&](std::size_t idx, std::size_t) {
             std::size_t i = active.empty() ? idx : active[idx];
             auto row = nl.row(i);
-            backend::iadParticle(ps, i, row.data, row.count, kernel, box);
+            backend::iadParticleSimd(ps, i, row.data, row.count, kernel, wrap);
         },
         policy);
 }

@@ -27,7 +27,6 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "math/lookup_table.hpp"
 #include "math/quadrature.hpp"
 #include "math/vec.hpp"
 
@@ -56,6 +55,99 @@ constexpr std::string_view kernelName(KernelType k)
     }
     return "?";
 }
+
+/// The closed-form kernel shapes: un-normalized f(q) and f'(q), valid on
+/// 0 <= q < 2 (callers zero q >= 2 and apply sigma). The one definition
+/// of each formula: Kernel<T>::fq/dfq and the lane loops of LaneKernel
+/// (backend/lane_kernel.hpp) both call these, so a lane's value is bitwise
+/// the scalar one. Branch-free — the spline's two pieces are both computed
+/// and selected — so the lane loops stay vectorizable.
+namespace kernel_shape {
+
+template<class T>
+inline T cubicSplineF(T q)
+{
+    T t  = T(2) - q;
+    T fi = T(1) - T(1.5) * q * q + T(0.75) * q * q * q;
+    T fo = T(0.25) * t * t * t;
+    return q < T(1) ? fi : fo;
+}
+
+template<class T>
+inline T cubicSplineDf(T q)
+{
+    T t  = T(2) - q;
+    T di = -T(3) * q + T(2.25) * q * q;
+    T dq = -T(0.75) * t * t;
+    return q < T(1) ? di : dq;
+}
+
+template<class T>
+inline T wendlandC2F(T q)
+{
+    T t  = T(1) - q / 2;
+    T t2 = t * t;
+    return t2 * t2 * (T(2) * q + T(1));
+}
+
+template<class T>
+inline T wendlandC2Df(T q)
+{
+    T t = T(1) - q / 2;
+    return -T(5) * q * t * t * t;
+}
+
+template<class T>
+inline T wendlandC4F(T q)
+{
+    T t  = T(1) - q / 2;
+    T t2 = t * t;
+    return t2 * t2 * t2 * ((T(35) / 12) * q * q + T(3) * q + T(1));
+}
+
+template<class T>
+inline T wendlandC4Df(T q)
+{
+    T t  = T(1) - q / 2;
+    T t2 = t * t;
+    return -(T(7) / 3) * q * (T(5) * q + T(2)) * t2 * t2 * t;
+}
+
+template<class T>
+inline T wendlandC6F(T q)
+{
+    T t  = T(1) - q / 2;
+    T t2 = t * t;
+    T t4 = t2 * t2;
+    return t4 * t4 * (T(4) * q * q * q + (T(25) / 4) * q * q + T(4) * q + T(1));
+}
+
+template<class T>
+inline T wendlandC6Df(T q)
+{
+    T t  = T(1) - q / 2;
+    T t2 = t * t;
+    T t4 = t2 * t2;
+    return -(T(11) / 4) * q * (T(8) * q * q + T(7) * q + T(2)) * t4 * t2 * t;
+}
+
+template<class T>
+inline T debrunSpikyF(T q)
+{
+    T t = T(2) - q;
+    return t * t * t;
+}
+
+/// f'(0) = -12: the spiky gradient stays finite and nonzero at the origin
+/// instead of vanishing like the spline family.
+template<class T>
+inline T debrunSpikyDf(T q)
+{
+    T t = T(2) - q;
+    return -T(3) * t * t;
+}
+
+} // namespace kernel_shape
 
 /// A 3D-normalized compact-support SPH kernel.
 ///
@@ -135,40 +227,12 @@ private:
     {
         switch (type_)
         {
-            case KernelType::Sinc:
-            {
-                return std::pow(sinc(std::numbers::pi_v<T> / 2 * q), n_);
-            }
-            case KernelType::CubicSpline:
-            {
-                if (q < T(1)) return T(1) - T(1.5) * q * q + T(0.75) * q * q * q;
-                T t = T(2) - q;
-                return T(0.25) * t * t * t;
-            }
-            case KernelType::WendlandC2:
-            {
-                T t = T(1) - q / 2;
-                T t2 = t * t;
-                return t2 * t2 * (T(2) * q + T(1));
-            }
-            case KernelType::WendlandC4:
-            {
-                T t = T(1) - q / 2;
-                T t2 = t * t;
-                return t2 * t2 * t2 * ((T(35) / 12) * q * q + T(3) * q + T(1));
-            }
-            case KernelType::WendlandC6:
-            {
-                T t = T(1) - q / 2;
-                T t2 = t * t;
-                T t4 = t2 * t2;
-                return t4 * t4 * (T(4) * q * q * q + (T(25) / 4) * q * q + T(4) * q + T(1));
-            }
-            case KernelType::DebrunSpiky:
-            {
-                T t = T(2) - q;
-                return t * t * t;
-            }
+            case KernelType::Sinc: return std::pow(sinc(std::numbers::pi_v<T> / 2 * q), n_);
+            case KernelType::CubicSpline: return kernel_shape::cubicSplineF(q);
+            case KernelType::WendlandC2: return kernel_shape::wendlandC2F(q);
+            case KernelType::WendlandC4: return kernel_shape::wendlandC4F(q);
+            case KernelType::WendlandC6: return kernel_shape::wendlandC6F(q);
+            case KernelType::DebrunSpiky: return kernel_shape::debrunSpikyF(q);
         }
         return T(0);
     }
@@ -186,37 +250,11 @@ private:
                 // d/dq [S(x)^n] = n S^{n-1} S'(x) * halfPi
                 return n_ * std::pow(s, n_ - T(1)) * dsinc(x) * halfPi;
             }
-            case KernelType::CubicSpline:
-            {
-                if (q < T(1)) return -T(3) * q + T(2.25) * q * q;
-                T t = T(2) - q;
-                return -T(0.75) * t * t;
-            }
-            case KernelType::WendlandC2:
-            {
-                T t = T(1) - q / 2;
-                return -T(5) * q * t * t * t;
-            }
-            case KernelType::WendlandC4:
-            {
-                T t  = T(1) - q / 2;
-                T t2 = t * t;
-                return -(T(7) / 3) * q * (T(5) * q + T(2)) * t2 * t2 * t;
-            }
-            case KernelType::WendlandC6:
-            {
-                T t  = T(1) - q / 2;
-                T t2 = t * t;
-                T t4 = t2 * t2;
-                return -(T(11) / 4) * q * (T(8) * q * q + T(7) * q + T(2)) * t4 * t2 * t;
-            }
-            case KernelType::DebrunSpiky:
-            {
-                // f'(0) = -12: the spiky gradient stays finite and nonzero
-                // at the origin instead of vanishing like the spline family
-                T t = T(2) - q;
-                return -T(3) * t * t;
-            }
+            case KernelType::CubicSpline: return kernel_shape::cubicSplineDf(q);
+            case KernelType::WendlandC2: return kernel_shape::wendlandC2Df(q);
+            case KernelType::WendlandC4: return kernel_shape::wendlandC4Df(q);
+            case KernelType::WendlandC6: return kernel_shape::wendlandC6Df(q);
+            case KernelType::DebrunSpiky: return kernel_shape::debrunSpikyDf(q);
         }
         return T(0);
     }
@@ -246,40 +284,6 @@ private:
     KernelType type_;
     T n_;
     T sigma_{};
-};
-
-/// Table-accelerated kernel: SPHYNX-style lookup of f(q) and f'(q).
-///
-/// Density/momentum loops can use this drop-in to avoid transcendental
-/// evaluation of the sinc kernel; accuracy is controlled by table size.
-template<class T>
-class TabulatedKernel
-{
-public:
-    explicit TabulatedKernel(const Kernel<T>& kernel, std::size_t tableSize = 20000)
-        : fTable_([&](T q) { return kernel.fq(q); }, T(0), Kernel<T>::supportRadius, tableSize)
-        , dfTable_([&](T q) { return kernel.dfq(q); }, T(0), Kernel<T>::supportRadius, tableSize)
-        , type_(kernel.type())
-    {
-    }
-
-    KernelType type() const { return type_; }
-
-    T fq(T q) const { return q >= Kernel<T>::supportRadius ? T(0) : fTable_(q); }
-    T dfq(T q) const { return q >= Kernel<T>::supportRadius ? T(0) : dfTable_(q); }
-
-    T value(T r, T h) const { return fq(r / h) / (h * h * h); }
-    T derivative(T r, T h) const { return dfq(r / h) / (h * h * h * h); }
-    T dh(T r, T h) const
-    {
-        T q = r / h;
-        return -(T(3) * fq(q) + q * dfq(q)) / (h * h * h * h);
-    }
-
-private:
-    LookupTable<T> fTable_;
-    LookupTable<T> dfTable_;
-    KernelType type_;
 };
 
 // --- Debrun spiky closed forms ----------------------------------------------

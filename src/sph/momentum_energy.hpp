@@ -19,39 +19,33 @@
 /// tree/neighbors.hpp, run as phase D).
 
 #include <algorithm>
-#include <cmath>
-#include <optional>
 #include <span>
 #include <type_traits>
 #include <vector>
 
-#include "backend/kernel_backend.hpp"
 #include "backend/lane_kernel.hpp"
 #include "backend/momentum_kernel.hpp"
 #include "domain/box.hpp"
 #include "parallel/parallel_for.hpp"
 #include "sph/iad.hpp"
-#include "sph/kernels.hpp"
 #include "sph/particles.hpp"
 #include "tree/neighbors.hpp"
 
 namespace sphexa {
 
-/// Compute accelerations ax/ay/az and du/dt for all particles.
-/// Gravity is accumulated separately and must be added afterwards.
-/// A dispatch shell over backend/momentum_kernel.hpp (which also defines
-/// ArtificialViscosity and MomentumEnergyStats), selected by \p be (Scalar
-/// when defaulted; lane evaluation covers the analytic Kernel only). The
-/// shell owns the cross-particle vsig max reduction; per-particle work lives
-/// in the backend kernels.
-template<class T, class KernelT>
+/// Compute accelerations ax/ay/az and du/dt for every particle in
+/// \p active (all particles when empty). Gravity is accumulated separately
+/// and must be added afterwards. Runs the per-particle lane kernel of
+/// backend/momentum_kernel.hpp (which also defines ArtificialViscosity and
+/// MomentumEnergyStats); the shell owns the cross-particle vsig max
+/// reduction.
+template<class T>
 MomentumEnergyStats<T> computeMomentumEnergy(ParticleSet<T>& ps, const NeighborList<T>& nl,
-                                             const KernelT& kernel, const Box<T>& box,
+                                             const LaneKernel<T>& kernel, const Box<T>& box,
                                              GradientMode mode,
                                              const ArtificialViscosity<T>& av = {},
                                              std::type_identity_t<std::span<const std::size_t>> active = {},
-                                             const LoopPolicy& policy = {},
-                                             const ComputeBackend<T>& be = {})
+                                             const LoopPolicy& policy = {})
 {
     std::size_t count = active.empty() ? ps.size() : active.size();
 
@@ -59,50 +53,22 @@ MomentumEnergyStats<T> computeMomentumEnergy(ParticleSet<T>& ps, const NeighborL
     // accumulation, so the result is bitwise identical for any pool size,
     // strategy, or chunk boundary
     std::vector<WorkerSlot<T>> workerVsig(parallelForWorkers());
-    auto reduceVsig = [&workerVsig] {
-        T maxVsig = T(0);
-        for (const auto& v : workerVsig)
-            maxVsig = std::max(maxVsig, v.value);
-        return MomentumEnergyStats<T>{maxVsig};
-    };
-
-    if constexpr (std::is_same_v<KernelT, Kernel<T>>)
-    {
-        if (be.kind == KernelBackend::Simd)
-        {
-            std::optional<LaneKernel<T>> transient;
-            const LaneKernel<T>* lanes = be.lanes;
-            if (!lanes)
-            {
-                transient.emplace(kernel);
-                lanes = &*transient;
-            }
-            const backend::PeriodicWrap<T> wrap(box);
-            parallelFor(
-                count,
-                [&](std::size_t idx, std::size_t worker) {
-                    std::size_t i = active.empty() ? idx : active[idx];
-                    auto row = nl.row(i);
-                    T vsigI = backend::momentumEnergyParticleSimd(ps, i, row.data,
-                                                                  row.count, *lanes,
-                                                                  wrap, mode, av);
-                    workerVsig[worker].value = std::max(workerVsig[worker].value, vsigI);
-                },
-                policy);
-            return reduceVsig();
-        }
-    }
+    const backend::PeriodicWrap<T> wrap(box);
     parallelFor(
         count,
         [&](std::size_t idx, std::size_t worker) {
             std::size_t i = active.empty() ? idx : active[idx];
             auto row = nl.row(i);
-            T vsigI = backend::momentumEnergyParticle(ps, i, row.data, row.count,
-                                                      kernel, box, mode, av);
+            T vsigI = backend::momentumEnergyParticleSimd(ps, i, row.data, row.count, kernel,
+                                                          wrap, mode, av);
             workerVsig[worker].value = std::max(workerVsig[worker].value, vsigI);
         },
         policy);
-    return reduceVsig();
+
+    T maxVsig = T(0);
+    for (const auto& v : workerVsig)
+        maxVsig = std::max(maxVsig, v.value);
+    return MomentumEnergyStats<T>{maxVsig};
 }
 
 } // namespace sphexa

@@ -97,7 +97,7 @@ void findNeighborsClustered(const Octree<T>& tree, std::type_identity_t<std::spa
     ws.clusters = nClusters;
 
     // Periodic-wrap constants hoisted out of the member scan, shared with
-    // the Simd backend tiles (backend/simd_tile.hpp): a non-periodic axis
+    // the phase E-H lane kernels (backend/simd_tile.hpp): a non-periodic axis
     // gets an infinite half-width so its wrap selects never fire; a periodic
     // axis reproduces Box::delta exactly — same L/2 threshold, same single-
     // subtraction corrections, just expressed as selects so the inner loop

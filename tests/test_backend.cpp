@@ -1,17 +1,17 @@
-/// Backend-layer tests (src/backend/): the Simd lane kernels against the
-/// Scalar reference loops.
+/// Backend-layer tests (src/backend/): the lane kernels of phases E-H
+/// against the per-pair reference loops of tests/scalar_oracle.hpp.
 ///
 /// The contract under test (docs/ARCHITECTURE.md "Backend layer"):
-///  - Simd results match Scalar to relative tolerance per phase — tight
-///    (~1e-12) for the closed-form kernels whose lanes replicate the exact
-///    scalar FP expressions, looser for Sinc whose lanes read the lookup
+///  - lane results match the oracle to relative tolerance per phase — tight
+///    (~1e-12) for the closed-form kernels, whose lanes evaluate the exact
+///    per-pair expressions, looser for Sinc, whose lanes read the lookup
 ///    table instead of calling pow/sin per pair;
-///  - Simd results are themselves BITWISE invariant across worker-pool
-///    sizes and all six scheduling strategies (fixed-order lane reduction);
+///  - lane results are BITWISE invariant across worker-pool sizes and all
+///    six scheduling strategies (fixed-order lane reduction);
+///  - an active subset computes exactly the full-set rows it names and
+///    leaves every other row untouched;
 ///  - remainder tiles (count % laneWidth != 0) and empty neighbor lists
-///    are exact edge cases, not approximations;
-///  - both drivers dispatch to Simd under the default config, and to the
-///    Scalar reference only when it is selected explicitly.
+///    are exact edge cases, not approximations.
 
 #include <gtest/gtest.h>
 
@@ -19,21 +19,17 @@
 #include <array>
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
-#include <optional>
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "backend/kernel_backend.hpp"
 #include "backend/lane_kernel.hpp"
 #include "backend/simd_tile.hpp"
-#include "core/code_profiles.hpp"
-#include "core/simulation.hpp"
 #include "domain/box.hpp"
-#include "domain/distributed.hpp"
 #include "ic/lattice.hpp"
-#include "ic/square_patch.hpp"
 #include "math/rng.hpp"
+#include "scalar_oracle.hpp"
 #include "sph/density.hpp"
 #include "sph/divcurl.hpp"
 #include "sph/eos.hpp"
@@ -67,7 +63,7 @@ constexpr std::array<SchedulingStrategy, 6> kAllStrategies{
     SchedulingStrategy::Guided,    SchedulingStrategy::Trapezoid,
     SchedulingStrategy::Factoring, SchedulingStrategy::AdaptiveWeightedFactoring};
 
-/// Per-kernel parity tolerance: the closed-form lanes replicate the scalar
+/// Per-kernel parity tolerance: the closed-form lanes replicate the oracle's
 /// per-pair expressions bitwise, so only the neighbor-sum association
 /// differs; the Sinc lanes read the LookupTable (~1e-8 per sample) instead
 /// of calling pow/sin.
@@ -75,7 +71,7 @@ double parityTol(KernelType k) { return k == KernelType::Sinc ? 2e-6 : 1e-11; }
 
 /// A jittered periodic lattice with a smooth shear + rotation velocity
 /// field, all upstream fields (rho/vol/gradh, p/c, IAD coefficients,
-/// balsara) filled by the Scalar reference path.
+/// balsara) filled by the oracle.
 struct BackendFixture
 {
     ParticleSetD ps;
@@ -83,10 +79,11 @@ struct BackendFixture
     Octree<double> tree;
     NeighborList<double> nl{0, 384};
     Kernel<double> kernel;
+    LaneKernel<double> lanes;
 
     explicit BackendFixture(KernelType type, std::size_t side = 10, double jitter = 0.2,
                             bool periodic = true)
-        : box({0, 0, 0}, {1, 1, 1}, periodic, periodic, periodic), kernel(type)
+        : box({0, 0, 0}, {1, 1, 1}, periodic, periodic, periodic), kernel(type), lanes(kernel)
     {
         cubicLattice(ps, side, side, side, box);
         double dx = 1.0 / double(side);
@@ -111,12 +108,12 @@ struct BackendFixture
         fillUpstream(ps);
     }
 
-    /// Scalar prerequisites for the phase under test: density, EOS, IAD
+    /// Oracle prerequisites for the phase under test: density, EOS, IAD
     /// coefficients and the div/curl (balsara) pass.
     void fillUpstream(ParticleSetD& target) const
     {
         computeVolumeElementWeights(target, VolumeElements::Standard);
-        computeDensity(target, nl, kernel, box);
+        oracle::densityOracle(target, nl, kernel, box);
         Eos<double> eos{IdealGasEos<double>(5.0 / 3.0)};
         for (std::size_t i = 0; i < target.size(); ++i)
         {
@@ -124,12 +121,10 @@ struct BackendFixture
             target.p[i] = res.pressure;
             target.c[i] = res.soundSpeed;
         }
-        computeIadCoefficients(target, nl, kernel, box);
-        computeDivCurl(target, nl, kernel, box, GradientMode::IAD);
+        oracle::iadOracle(target, nl, kernel, box);
+        oracle::divCurlOracle(target, nl, kernel, box, GradientMode::IAD);
     }
 };
-
-ComputeBackend<double> simd() { return {KernelBackend::Simd, nullptr}; }
 
 /// |a-b| <= tol * scale, with scale the max magnitude of the reference
 /// field (mixed abs/rel: fields like ax hover near zero on near-uniform
@@ -194,7 +189,7 @@ TEST(LaneKernel, MatchesKernelAcrossSupport)
     }
 }
 
-// --- per-phase Simd vs Scalar parity ---------------------------------------
+// --- per-phase lanes vs oracle parity --------------------------------------
 
 class BackendParity : public ::testing::TestWithParam<KernelType>
 {
@@ -205,8 +200,8 @@ TEST_P(BackendParity, DensityMatchesScalar)
     BackendFixture f(GetParam());
     auto scalar = f.ps;
     auto vec    = f.ps;
-    computeDensity(scalar, f.nl, f.kernel, f.box);
-    computeDensity(vec, f.nl, f.kernel, f.box, {}, {}, simd());
+    oracle::densityOracle(scalar, f.nl, f.kernel, f.box);
+    computeDensity(vec, f.nl, f.lanes, f.box);
     double tol = parityTol(GetParam());
     expectFieldNear(scalar.rho, vec.rho, tol, "rho");
     expectFieldNear(scalar.vol, vec.vol, tol, "vol");
@@ -218,8 +213,8 @@ TEST_P(BackendParity, IadCoefficientsMatchScalar)
     BackendFixture f(GetParam());
     auto scalar = f.ps;
     auto vec    = f.ps;
-    computeIadCoefficients(scalar, f.nl, f.kernel, f.box);
-    computeIadCoefficients(vec, f.nl, f.kernel, f.box, {}, {}, simd());
+    oracle::iadOracle(scalar, f.nl, f.kernel, f.box);
+    computeIadCoefficients(vec, f.nl, f.lanes, f.box);
     double tol = parityTol(GetParam());
     expectFieldNear(scalar.c11, vec.c11, tol, "c11");
     expectFieldNear(scalar.c12, vec.c12, tol, "c12");
@@ -236,8 +231,8 @@ TEST_P(BackendParity, DivCurlMatchesScalarBothGradientModes)
         BackendFixture f(GetParam());
         auto scalar = f.ps;
         auto vec    = f.ps;
-        computeDivCurl(scalar, f.nl, f.kernel, f.box, mode);
-        computeDivCurl(vec, f.nl, f.kernel, f.box, mode, {}, {}, simd());
+        oracle::divCurlOracle(scalar, f.nl, f.kernel, f.box, mode);
+        computeDivCurl(vec, f.nl, f.lanes, f.box, mode);
         double tol = parityTol(GetParam());
         expectFieldNear(scalar.divv, vec.divv, tol, "divv");
         expectFieldNear(scalar.curlv, vec.curlv, tol, "curlv");
@@ -252,17 +247,130 @@ TEST_P(BackendParity, MomentumEnergyMatchesScalarBothGradientModes)
         BackendFixture f(GetParam());
         auto scalar = f.ps;
         auto vec    = f.ps;
-        auto sStats = computeMomentumEnergy(scalar, f.nl, f.kernel, f.box, mode);
-        auto vStats = computeMomentumEnergy(vec, f.nl, f.kernel, f.box, mode, {}, {}, {},
-                                            simd());
+        double sMax = oracle::momentumEnergyOracle(scalar, f.nl, f.kernel, f.box, mode);
+        auto vStats = computeMomentumEnergy(vec, f.nl, f.lanes, f.box, mode);
         double tol = parityTol(GetParam());
         expectFieldNear(scalar.ax, vec.ax, tol, "ax");
         expectFieldNear(scalar.ay, vec.ay, tol, "ay");
         expectFieldNear(scalar.az, vec.az, tol, "az");
         expectFieldNear(scalar.du, vec.du, tol, "du");
         expectFieldNear(scalar.vsig, vec.vsig, tol, "vsig");
-        EXPECT_NEAR(sStats.maxVsignal, vStats.maxVsignal,
-                    tol * std::abs(sStats.maxVsignal));
+        EXPECT_NEAR(sMax, vStats.maxVsignal, tol * std::abs(sMax));
+    }
+}
+
+namespace {
+
+using Field   = std::vector<double> ParticleSetD::*;
+using Indices = std::span<const std::size_t>;
+
+/// A field a phase writes, with its parity tolerance as a multiple of
+/// parityTol (the Balsara limiter divides by |div v| + |curl v|, which
+/// amplifies the relative error, see DivCurlMatchesScalarBothGradientModes).
+struct Output
+{
+    Field field;
+    double tolFactor = 1;
+};
+
+/// One phase under test: the fields it writes, and the phase run on the
+/// lanes and on the oracle over an index set (empty: all particles).
+struct PhaseCase
+{
+    std::string name;
+    std::vector<Output> outputs;
+    std::function<void(ParticleSetD&, Indices)> lanes;
+    std::function<void(ParticleSetD&, Indices)> oracle;
+};
+
+std::vector<PhaseCase> allPhases(const BackendFixture& f)
+{
+    std::vector<PhaseCase> cases{
+        {"density",
+         {{&ParticleSetD::rho}, {&ParticleSetD::vol}, {&ParticleSetD::gradh}},
+         [&](ParticleSetD& ps, Indices a) { computeDensity(ps, f.nl, f.lanes, f.box, a); },
+         [&](ParticleSetD& ps, Indices a) { oracle::densityOracle(ps, f.nl, f.kernel, f.box, a); }},
+        {"iad",
+         {{&ParticleSetD::c11}, {&ParticleSetD::c12}, {&ParticleSetD::c13},
+          {&ParticleSetD::c22}, {&ParticleSetD::c23}, {&ParticleSetD::c33}},
+         [&](ParticleSetD& ps, Indices a) { computeIadCoefficients(ps, f.nl, f.lanes, f.box, a); },
+         [&](ParticleSetD& ps, Indices a) { oracle::iadOracle(ps, f.nl, f.kernel, f.box, a); }},
+    };
+    for (GradientMode mode : {GradientMode::IAD, GradientMode::KernelDerivative})
+    {
+        std::string suffix(gradientModeName(mode));
+        cases.push_back(
+            {"divcurl/" + suffix,
+             {{&ParticleSetD::divv}, {&ParticleSetD::curlv}, {&ParticleSetD::balsara, 10}},
+             [&f, mode](ParticleSetD& ps, Indices a) {
+                 computeDivCurl(ps, f.nl, f.lanes, f.box, mode, a);
+             },
+             [&f, mode](ParticleSetD& ps, Indices a) {
+                 oracle::divCurlOracle(ps, f.nl, f.kernel, f.box, mode, a);
+             }});
+        cases.push_back(
+            {"momentum/" + suffix,
+             {{&ParticleSetD::ax}, {&ParticleSetD::ay}, {&ParticleSetD::az},
+              {&ParticleSetD::du}, {&ParticleSetD::vsig}},
+             [&f, mode](ParticleSetD& ps, Indices a) {
+                 computeMomentumEnergy(ps, f.nl, f.lanes, f.box, mode, {}, a);
+             },
+             [&f, mode](ParticleSetD& ps, Indices a) {
+                 oracle::momentumEnergyOracle(ps, f.nl, f.kernel, f.box, mode, {}, a);
+             }});
+    }
+    return cases;
+}
+
+} // namespace
+
+TEST_P(BackendParity, ActiveSubsetMatchesOracleAndFullSet)
+{
+    // the phase shells index through `active` (individual time-stepping):
+    // a strided subset must compute exactly its rows of the full-set run,
+    // within tolerance of the oracle, and write nothing else
+    BackendFixture f(GetParam());
+    std::vector<std::size_t> active;
+    for (std::size_t i = 1; i < f.ps.size(); i += 3)
+        active.push_back(i);
+    std::vector<bool> isActive(f.ps.size(), false);
+    for (std::size_t i : active)
+        isActive[i] = true;
+    constexpr double kUntouched = -12345.0;
+    double tol = parityTol(GetParam());
+
+    for (const auto& phase : allPhases(f))
+    {
+        SCOPED_TRACE(phase.name);
+        auto full = f.ps;
+        phase.lanes(full, {});
+        auto ref = f.ps;
+        phase.oracle(ref, active);
+        auto sub = f.ps;
+        for (const auto& out : phase.outputs)
+            std::fill((sub.*out.field).begin(), (sub.*out.field).end(), kUntouched);
+        phase.lanes(sub, active);
+
+        for (const auto& out : phase.outputs)
+        {
+            const auto& r = ref.*out.field;
+            const auto& g = sub.*out.field;
+            double scale = 1e-30;
+            for (std::size_t i : active)
+                scale = std::max(scale, std::abs(r[i]));
+            for (std::size_t i = 0; i < g.size(); ++i)
+            {
+                if (isActive[i])
+                {
+                    EXPECT_NEAR(r[i], g[i], out.tolFactor * tol * scale) << "i=" << i;
+                    EXPECT_EQ((full.*out.field)[i], g[i]) << "i=" << i;
+                }
+                else
+                {
+                    EXPECT_EQ(g[i], kUntouched) << "i=" << i;
+                }
+            }
+        }
     }
 }
 
@@ -285,15 +393,14 @@ TEST(BackendParityOpenBox, AllPhasesMatchScalar)
     BackendFixture f(KernelType::WendlandC2, 10, 0.2, /*periodic=*/false);
     auto scalar = f.ps;
     auto vec    = f.ps;
-    computeDensity(scalar, f.nl, f.kernel, f.box);
-    computeDensity(vec, f.nl, f.kernel, f.box, {}, {}, simd());
-    computeIadCoefficients(scalar, f.nl, f.kernel, f.box);
-    computeIadCoefficients(vec, f.nl, f.kernel, f.box, {}, {}, simd());
-    computeDivCurl(scalar, f.nl, f.kernel, f.box, GradientMode::IAD);
-    computeDivCurl(vec, f.nl, f.kernel, f.box, GradientMode::IAD, {}, {}, simd());
-    computeMomentumEnergy(scalar, f.nl, f.kernel, f.box, GradientMode::IAD);
-    computeMomentumEnergy(vec, f.nl, f.kernel, f.box, GradientMode::IAD, {}, {}, {},
-                          simd());
+    oracle::densityOracle(scalar, f.nl, f.kernel, f.box);
+    computeDensity(vec, f.nl, f.lanes, f.box);
+    oracle::iadOracle(scalar, f.nl, f.kernel, f.box);
+    computeIadCoefficients(vec, f.nl, f.lanes, f.box);
+    oracle::divCurlOracle(scalar, f.nl, f.kernel, f.box, GradientMode::IAD);
+    computeDivCurl(vec, f.nl, f.lanes, f.box, GradientMode::IAD);
+    oracle::momentumEnergyOracle(scalar, f.nl, f.kernel, f.box, GradientMode::IAD);
+    computeMomentumEnergy(vec, f.nl, f.lanes, f.box, GradientMode::IAD);
     double tol = parityTol(KernelType::WendlandC2);
     expectFieldNear(scalar.rho, vec.rho, tol, "rho");
     expectFieldNear(scalar.c11, vec.c11, tol, "c11");
@@ -302,7 +409,7 @@ TEST(BackendParityOpenBox, AllPhasesMatchScalar)
     expectFieldNear(scalar.du, vec.du, tol, "du");
 }
 
-// --- Simd bitwise invariance across pools and strategies -------------------
+// --- lane bitwise invariance across pools and strategies -------------------
 
 TEST(BackendInvariance, SimdBitwiseAcrossPoolsAndStrategies)
 {
@@ -313,11 +420,10 @@ TEST(BackendInvariance, SimdBitwiseAcrossPoolsAndStrategies)
     {
         PoolSizeGuard guard(1);
         ref = f.ps;
-        computeDensity(ref, f.nl, f.kernel, f.box, {}, {}, simd());
-        computeIadCoefficients(ref, f.nl, f.kernel, f.box, {}, {}, simd());
-        computeDivCurl(ref, f.nl, f.kernel, f.box, GradientMode::IAD, {}, {}, simd());
-        computeMomentumEnergy(ref, f.nl, f.kernel, f.box, GradientMode::IAD, {}, {}, {},
-                              simd());
+        computeDensity(ref, f.nl, f.lanes, f.box);
+        computeIadCoefficients(ref, f.nl, f.lanes, f.box);
+        computeDivCurl(ref, f.nl, f.lanes, f.box, GradientMode::IAD);
+        computeMomentumEnergy(ref, f.nl, f.lanes, f.box, GradientMode::IAD);
     }
 
     for (std::size_t pool : {1u, 2u, 4u})
@@ -332,11 +438,10 @@ TEST(BackendInvariance, SimdBitwiseAcrossPoolsAndStrategies)
                 pol.awfWeights = &awf;
 
             auto ps = f.ps;
-            computeDensity(ps, f.nl, f.kernel, f.box, {}, pol, simd());
-            computeIadCoefficients(ps, f.nl, f.kernel, f.box, {}, pol, simd());
-            computeDivCurl(ps, f.nl, f.kernel, f.box, GradientMode::IAD, {}, pol, simd());
-            computeMomentumEnergy(ps, f.nl, f.kernel, f.box, GradientMode::IAD, {}, {},
-                                  pol, simd());
+            computeDensity(ps, f.nl, f.lanes, f.box, {}, pol);
+            computeIadCoefficients(ps, f.nl, f.lanes, f.box, {}, pol);
+            computeDivCurl(ps, f.nl, f.lanes, f.box, GradientMode::IAD, {}, pol);
+            computeMomentumEnergy(ps, f.nl, f.lanes, f.box, GradientMode::IAD, {}, {}, pol);
 
             expectFieldBitwise(ref.rho, ps.rho, "rho");
             expectFieldBitwise(ref.gradh, ps.gradh, "gradh");
@@ -377,15 +482,14 @@ TEST(BackendEdgeCases, RemainderTilesAndEmptyLists)
 
     auto scalar = f.ps;
     auto vec    = f.ps;
-    computeDensity(scalar, nl, f.kernel, f.box);
-    computeDensity(vec, nl, f.kernel, f.box, {}, {}, simd());
-    computeIadCoefficients(scalar, nl, f.kernel, f.box);
-    computeIadCoefficients(vec, nl, f.kernel, f.box, {}, {}, simd());
-    computeDivCurl(scalar, nl, f.kernel, f.box, GradientMode::IAD);
-    computeDivCurl(vec, nl, f.kernel, f.box, GradientMode::IAD, {}, {}, simd());
-    computeMomentumEnergy(scalar, nl, f.kernel, f.box, GradientMode::IAD);
-    computeMomentumEnergy(vec, nl, f.kernel, f.box, GradientMode::IAD, {}, {}, {},
-                          simd());
+    oracle::densityOracle(scalar, nl, f.kernel, f.box);
+    computeDensity(vec, nl, f.lanes, f.box);
+    oracle::iadOracle(scalar, nl, f.kernel, f.box);
+    computeIadCoefficients(vec, nl, f.lanes, f.box);
+    oracle::divCurlOracle(scalar, nl, f.kernel, f.box, GradientMode::IAD);
+    computeDivCurl(vec, nl, f.lanes, f.box, GradientMode::IAD);
+    oracle::momentumEnergyOracle(scalar, nl, f.kernel, f.box, GradientMode::IAD);
+    computeMomentumEnergy(vec, nl, f.lanes, f.box, GradientMode::IAD);
 
     double tol = parityTol(KernelType::CubicSpline);
     expectFieldNear(scalar.rho, vec.rho, tol, "rho");
@@ -401,131 +505,4 @@ TEST(BackendEdgeCases, RemainderTilesAndEmptyLists)
     EXPECT_EQ(vec.ax[0], 0.0);
     EXPECT_EQ(vec.du[0], 0.0);
     EXPECT_EQ(vec.vsig[0], 0.0);
-}
-
-// --- dispatch plumbing ------------------------------------------------------
-
-TEST(KernelBackendConfig, EnvSelection)
-{
-    ::unsetenv("SPHEXA_KERNEL_BACKEND");
-    EXPECT_EQ(kernelBackendFromEnv(), KernelBackend::Scalar);
-    EXPECT_EQ(kernelBackendFromEnv(KernelBackend::Simd), KernelBackend::Simd);
-    ::setenv("SPHEXA_KERNEL_BACKEND", "simd", 1);
-    EXPECT_EQ(kernelBackendFromEnv(), KernelBackend::Simd);
-    ::setenv("SPHEXA_KERNEL_BACKEND", "scalar", 1);
-    EXPECT_EQ(kernelBackendFromEnv(KernelBackend::Simd), KernelBackend::Scalar);
-    ::unsetenv("SPHEXA_KERNEL_BACKEND");
-}
-
-TEST(KernelBackendConfig, TabulatedKernelFallsBackToScalar)
-{
-    // the Simd request must be a no-op (not a crash) for kernel types the
-    // lane path does not cover: results equal the Scalar reference exactly
-    BackendFixture f(KernelType::Sinc, 6);
-    TabulatedKernel<double> tab(f.kernel);
-    auto scalar = f.ps;
-    auto vec    = f.ps;
-    computeDensity(scalar, f.nl, tab, f.box);
-    computeDensity(vec, f.nl, tab, f.box, {}, {}, simd());
-    expectFieldBitwise(scalar.rho, vec.rho, "rho");
-}
-
-// --- default dispatch of both drivers ---------------------------------------
-
-namespace {
-
-/// A 12x12x6 rotating square patch (864 particles, Sinc kernel) with the
-/// config default backend, or \p backend when given.
-struct DispatchCase
-{
-    ParticleSetD ps;
-    SquarePatchSetup<double> setup;
-    SimulationConfig<double> cfg;
-};
-
-DispatchCase makeDispatchCase(std::optional<KernelBackend> backend)
-{
-    ParticleSetD ps;
-    SquarePatchConfig<double> pc;
-    pc.nx = pc.ny = 12;
-    pc.nz      = 6;
-    auto setup = makeSquarePatch(ps, pc);
-    SimulationConfig<double> cfg;
-    cfg.targetNeighbors   = 50;
-    cfg.neighborTolerance = 10;
-    if (backend) cfg.kernelBackend = *backend;
-    return {std::move(ps), setup, cfg};
-}
-
-/// Particle state after the first force pass and one step.
-ParticleSetD sharedStep(std::optional<KernelBackend> backend)
-{
-    auto c = makeDispatchCase(backend);
-    Simulation<double> sim(std::move(c.ps), c.setup.box, Eos<double>(c.setup.eos), c.cfg);
-    sim.computeForces();
-    sim.advance();
-    return sim.particles();
-}
-
-ParticleSetD distributedStep(std::optional<KernelBackend> backend, int ranks)
-{
-    auto c = makeDispatchCase(backend);
-    DistributedSimulation<double> sim(std::move(c.ps), c.setup.box,
-                                      Eos<double>(c.setup.eos), c.cfg, ranks);
-    sim.advance();
-    return sim.gather();
-}
-
-/// \p dflt (config default) equals \p simd in every field, bit for bit,
-/// and differs from \p scalar, but only within the Sinc parity tolerance.
-void expectDefaultDispatchesSimd(const ParticleSetD& dflt, const ParticleSetD& simd,
-                                 const ParticleSetD& scalar)
-{
-    ASSERT_EQ(dflt.size(), simd.size());
-    ASSERT_EQ(dflt.size(), scalar.size());
-    ASSERT_EQ(dflt.id, simd.id);
-    ASSERT_EQ(dflt.id, scalar.id);
-    const auto& names = ParticleSetD::realFieldNames();
-    auto d = dflt.realFields();
-    auto v = simd.realFields();
-    for (std::size_t f = 0; f < d.size(); ++f)
-    {
-        expectFieldBitwise(*v[f], *d[f], names[f].c_str());
-    }
-
-    double tol = parityTol(KernelType::Sinc);
-    expectFieldNear(scalar.rho, dflt.rho, tol, "rho");
-    expectFieldNear(scalar.c11, dflt.c11, tol, "c11");
-    expectFieldNear(scalar.divv, dflt.divv, tol, "divv");
-    expectFieldNear(scalar.ax, dflt.ax, tol, "ax");
-    expectFieldNear(scalar.du, dflt.du, tol, "du");
-    // the reassociated sums must show: equal rho would mean no dispatch
-    EXPECT_NE(scalar.rho, dflt.rho);
-}
-
-} // namespace
-
-TEST(KernelBackendConfig, DefaultIsSimdForConfigAndProfile)
-{
-    EXPECT_EQ(SimulationConfig<double>{}.kernelBackend, KernelBackend::Simd);
-    EXPECT_EQ(sphexaProfile<double>().config.kernelBackend, KernelBackend::Simd);
-    // the standalone phase entry points keep the Scalar reference
-    EXPECT_EQ(ComputeBackend<double>{}.kind, KernelBackend::Scalar);
-}
-
-TEST(KernelBackendConfig, DefaultSimulationStepDispatchesSimd)
-{
-    expectDefaultDispatchesSimd(sharedStep(std::nullopt), sharedStep(KernelBackend::Simd),
-                                sharedStep(KernelBackend::Scalar));
-}
-
-TEST(KernelBackendConfig, DefaultDistributedStepDispatchesSimd)
-{
-    for (int ranks : {1, 4})
-    {
-        SCOPED_TRACE("ranks=" + std::to_string(ranks));
-        expectDefaultDispatchesSimd(distributedStep(std::nullopt, ranks),
-                                    distributedStep(KernelBackend::Simd, ranks),
-                                    distributedStep(KernelBackend::Scalar, ranks));
-    }
 }

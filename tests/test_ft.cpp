@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <optional>
 #include <string>
 
 #include "core/simulation.hpp"
@@ -136,8 +135,7 @@ TEST(Checkpoint, StatsAccumulate)
 
 namespace {
 
-/// The config default backend, or \p backend when given.
-Simulation<double> makeBinnedEvrard(std::optional<KernelBackend> backend = std::nullopt)
+Simulation<double> makeBinnedEvrard()
 {
     ParticleSetD ps;
     EvrardConfig<double> ic;
@@ -152,7 +150,6 @@ Simulation<double> makeBinnedEvrard(std::optional<KernelBackend> backend = std::
     cfg.gravity.softening = 0.02;
     cfg.targetNeighbors   = 60;
     cfg.neighborTolerance = 10;
-    if (backend) cfg.kernelBackend = *backend;
     return Simulation<double>(std::move(ps), setup.box, Eos<double>(setup.eos), cfg);
 }
 
@@ -186,71 +183,66 @@ TEST(Checkpoint, IndividualMidCycleRoundTripContinuesBitwise)
     // Serialize/checkpoint round-trip of ps.dt and ps.bin MID bin-cycle:
     // write at a step where bins differ, restore, and require the identical
     // activity schedule plus a bitwise-identical continuation.
-    // The continuation is bitwise within each compute backend.
-    for (KernelBackend backend : {KernelBackend::Scalar, KernelBackend::Simd})
+    auto ref = makeBinnedEvrard();
+    ref.computeForces();
+    auto live = makeBinnedEvrard();
+    live.computeForces();
+
+    // step both to a mid-cycle point with a real hierarchy
+    int head = 5;
+    for (int i = 0; i < head; ++i)
     {
-        SCOPED_TRACE(std::string(kernelBackendName(backend)));
-        auto ref = makeBinnedEvrard(backend);
-        ref.computeForces();
-        auto live = makeBinnedEvrard(backend);
-        live.computeForces();
-
-        // step both to a mid-cycle point with a real hierarchy
-        int head = 5;
-        for (int i = 0; i < head; ++i)
-        {
-            ref.advance();
-            live.advance();
-        }
-        const auto& ps0 = live.particles();
-        int minBin = ps0.bin[0], maxBin = ps0.bin[0];
-        for (int b : ps0.bin)
-        {
-            minBin = std::min(minBin, b);
-            maxBin = std::max(maxBin, b);
-        }
-        ASSERT_LT(minBin, maxBin) << "test premise: bins must differ at write time";
-
-        // round-trip the full state through the binary serializer
-        auto buf      = serialize(ps0, live.time(), live.step());
-        auto restored = deserialize<double>(buf);
-        for (std::size_t i = 0; i < ps0.size(); ++i)
-        {
-            ASSERT_EQ(restored.particles.bin[i], ps0.bin[i]) << i;
-            ASSERT_EQ(restored.particles.dt[i], ps0.dt[i]) << i;
-            ASSERT_EQ(restored.particles.vsig[i], ps0.vsig[i]) << i;
-        }
-
-        const auto& lctl = live.timestepController();
-        auto resumed     = makeBinnedEvrard(backend);
-        resumed.particles() = std::move(restored.particles);
-        resumed.restoreFromCheckpoint(restored.time, restored.step, lctl.currentDt(),
-                                      live.maxVsignal(), lctl.baseDt(),
-                                      lctl.cycleStart());
-
-        // identical activity schedule and bitwise continuation across (at least)
-        // one full hierarchy cycle
-        int tail = 1 << std::max(2, lctl.maxUsedBin());
-        for (int i = 0; i < tail; ++i)
-        {
-            auto repRef = ref.advance();
-            auto repRes = resumed.advance();
-            ASSERT_EQ(repRes.activeParticles, repRef.activeParticles) << "step " << i;
-            ASSERT_EQ(repRes.dt, repRef.dt) << "step " << i;
-        }
-        const auto& a = ref.particles();
-        const auto& b = resumed.particles();
-        for (std::size_t i = 0; i < a.size(); ++i)
-        {
-            ASSERT_EQ(a.x[i], b.x[i]) << i;
-            ASSERT_EQ(a.vx[i], b.vx[i]) << i;
-            ASSERT_EQ(a.u[i], b.u[i]) << i;
-            ASSERT_EQ(a.dt[i], b.dt[i]) << i;
-            ASSERT_EQ(a.bin[i], b.bin[i]) << i;
-        }
-        EXPECT_EQ(resumed.timestepController().cycleStart(),
-                  ref.timestepController().cycleStart());
+        ref.advance();
+        live.advance();
     }
+    const auto& ps0 = live.particles();
+    int minBin = ps0.bin[0], maxBin = ps0.bin[0];
+    for (int b : ps0.bin)
+    {
+        minBin = std::min(minBin, b);
+        maxBin = std::max(maxBin, b);
+    }
+    ASSERT_LT(minBin, maxBin) << "test premise: bins must differ at write time";
+
+    // round-trip the full state through the binary serializer
+    auto buf      = serialize(ps0, live.time(), live.step());
+    auto restored = deserialize<double>(buf);
+    for (std::size_t i = 0; i < ps0.size(); ++i)
+    {
+        ASSERT_EQ(restored.particles.bin[i], ps0.bin[i]) << i;
+        ASSERT_EQ(restored.particles.dt[i], ps0.dt[i]) << i;
+        ASSERT_EQ(restored.particles.vsig[i], ps0.vsig[i]) << i;
+    }
+
+    const auto& lctl = live.timestepController();
+    auto resumed     = makeBinnedEvrard();
+    resumed.particles() = std::move(restored.particles);
+    resumed.restoreFromCheckpoint(restored.time, restored.step, lctl.currentDt(),
+                                  live.maxVsignal(), lctl.baseDt(),
+                                  lctl.cycleStart());
+
+    // identical activity schedule and bitwise continuation across (at least)
+    // one full hierarchy cycle
+    int tail = 1 << std::max(2, lctl.maxUsedBin());
+    for (int i = 0; i < tail; ++i)
+    {
+        auto repRef = ref.advance();
+        auto repRes = resumed.advance();
+        ASSERT_EQ(repRes.activeParticles, repRef.activeParticles) << "step " << i;
+        ASSERT_EQ(repRes.dt, repRef.dt) << "step " << i;
+    }
+    const auto& a = ref.particles();
+    const auto& b = resumed.particles();
+    for (std::size_t i = 0; i < a.size(); ++i)
+    {
+        ASSERT_EQ(a.x[i], b.x[i]) << i;
+        ASSERT_EQ(a.vx[i], b.vx[i]) << i;
+        ASSERT_EQ(a.u[i], b.u[i]) << i;
+        ASSERT_EQ(a.dt[i], b.dt[i]) << i;
+        ASSERT_EQ(a.bin[i], b.bin[i]) << i;
+    }
+    EXPECT_EQ(resumed.timestepController().cycleStart(),
+              ref.timestepController().cycleStart());
 }
 
 // --- optimal interval ------------------------------------------------------------

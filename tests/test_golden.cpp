@@ -24,7 +24,6 @@
 #include <tuple>
 #include <vector>
 
-#include "backend/kernel_backend.hpp"
 #include "core/simulation.hpp"
 #include "ic/dam_break.hpp"
 #include "ic/evrard.hpp"
@@ -65,15 +64,12 @@ protected:
 
     /// Route a scenario config through the requested pipeline assembly.
     /// The scenario's EOS is passed explicitly, so switching the mode only
-    /// switches the phase list — never the physics closure. The compute
-    /// backend comes from SPHEXA_KERNEL_BACKEND (backend/kernel_backend.hpp)
-    /// so the CI matrix re-runs this whole gallery under the Simd lanes.
+    /// switches the phase list — never the physics closure.
     template<class T>
     SimulationConfig<T> withLeg(SimulationConfig<T> cfg) const
     {
         cfg.hydroMode = leg() == Leg::Wcsph ? HydroMode::WeaklyCompressible
                                             : HydroMode::Compressible;
-        cfg.kernelBackend = kernelBackendFromEnv(cfg.kernelBackend);
         return cfg;
     }
 
@@ -297,7 +293,6 @@ TEST_P(GoldenGallery, PipelinesBitwiseEquivalentOnWallFreeScenario)
         cfg.hydroMode         = mode;
         cfg.targetNeighbors   = 60;
         cfg.neighborTolerance = 10;
-        cfg.kernelBackend     = kernelBackendFromEnv(cfg.kernelBackend);
         // explicit EOS: the mode must switch ONLY the phase list, never the
         // closure (the 3-arg ctor would derive an ideal gas in Compressible)
         Simulation<double> sim(std::move(ps), setup.box, Eos<double>(setup.eos), cfg);
@@ -346,7 +341,6 @@ TEST_P(GoldenGallery, ClusterSearchModePhysicsBitwiseMatchesTreeWalk)
             cfg.sfcReorder = false; // cross-frame: only the cluster run sorts
             cfg.searchMode = cluster ? NeighborSearchMode::ClusterList
                                      : NeighborSearchMode::TreeWalk;
-            cfg.kernelBackend = kernelBackendFromEnv(cfg.kernelBackend);
             Simulation<double> sim(std::move(ps), setup.box, Eos<double>(setup.eos),
                                    cfg);
             sim.computeForces();
@@ -365,7 +359,6 @@ TEST_P(GoldenGallery, ClusterSearchModePhysicsBitwiseMatchesTreeWalk)
         cfg.sfcReorder         = true; // same frame for both search modes
         cfg.searchMode = cluster ? NeighborSearchMode::ClusterList
                                  : NeighborSearchMode::TreeWalk;
-        cfg.kernelBackend = kernelBackendFromEnv(cfg.kernelBackend);
         Simulation<double> sim(std::move(ps), setup.box, cfg);
         sim.computeForces();
         sim.run(4);
@@ -424,7 +417,6 @@ TEST_P(GoldenGallery, DamBreakFrontWithinRitterBand)
     cfg.targetNeighbors    = 60;
     cfg.neighborTolerance  = 10;
     cfg.timestep.initialDt = 1e-4;
-    cfg.kernelBackend      = kernelBackendFromEnv(cfg.kernelBackend);
     Simulation<double> sim(std::move(ps), setup.box, cfg);
     std::size_t nReal = sim.particles().size();
     sim.computeForces();

@@ -338,8 +338,7 @@ namespace {
 
 /// Run 5 Sedov steps under one (strategy, pool size) combination and return
 /// the final particle state.
-ParticleSetD runSedov(SchedulingStrategy strategy, std::size_t poolSize, bool gravity,
-                      KernelBackend backend)
+ParticleSetD runSedov(SchedulingStrategy strategy, std::size_t poolSize, bool gravity)
 {
     PoolSizeGuard guard(poolSize);
 #ifdef _OPENMP
@@ -358,7 +357,6 @@ ParticleSetD runSedov(SchedulingStrategy strategy, std::size_t poolSize, bool gr
     cfg.selfGravity       = gravity;
     if (gravity) cfg.gravity.softening = 1e-2;
     cfg.phaseSchedule.fill(strategy);
-    cfg.kernelBackend = backend;
 
     Simulation<double> sim(std::move(ps), setup.box, Eos<double>(setup.eos), cfg);
     sim.computeForces();
@@ -389,11 +387,10 @@ void expectBitwiseEqual(const ParticleSetD& ref, const ParticleSetD& got,
     }
 }
 
-void runInvarianceSuite(bool gravity, KernelBackend backend)
+void runInvarianceSuite(bool gravity)
 {
-    SCOPED_TRACE(std::string(kernelBackendName(backend)));
     // reference: STATIC on a single worker — the fully serial execution
-    ParticleSetD ref = runSedov(SchedulingStrategy::Static, 1, gravity, backend);
+    ParticleSetD ref = runSedov(SchedulingStrategy::Static, 1, gravity);
     ASSERT_GT(ref.size(), 0u);
 
     for (auto s : kAllStrategies)
@@ -401,7 +398,7 @@ void runInvarianceSuite(bool gravity, KernelBackend backend)
         for (std::size_t pool : {1u, 2u, 4u})
         {
             if (s == SchedulingStrategy::Static && pool == 1) continue; // the reference
-            ParticleSetD got = runSedov(s, pool, gravity, backend);
+            ParticleSetD got = runSedov(s, pool, gravity);
             expectBitwiseEqual(ref, got,
                                std::string(schedulingName(s)) + "/pool=" +
                                    std::to_string(pool));
@@ -414,15 +411,13 @@ void runInvarianceSuite(bool gravity, KernelBackend backend)
 /// 5 Sedov steps are bitwise identical across pool sizes {1,2,4} and all
 /// six scheduling strategies: every hot loop is accumulate-to-self and all
 /// reductions are exact (min/max selection), so chunk boundaries — even the
-/// timing-dependent ones of AWF — can never change physics. The hydro suite
-/// runs under both compute backends; gravity (phase I) has no backend seam.
+/// timing-dependent ones of AWF — can never change physics.
 TEST(ThreadStrategyInvariance, HydroPipelineIsBitwiseIdentical)
 {
-    runInvarianceSuite(/*gravity*/ false, KernelBackend::Simd);
-    runInvarianceSuite(/*gravity*/ false, KernelBackend::Scalar);
+    runInvarianceSuite(/*gravity*/ false);
 }
 
 TEST(ThreadStrategyInvariance, HydroGravityPipelineIsBitwiseIdentical)
 {
-    runInvarianceSuite(/*gravity*/ true, SimulationConfig<double>{}.kernelBackend);
+    runInvarianceSuite(/*gravity*/ true);
 }

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <string>
 
 #include "core/code_profiles.hpp"
 #include "core/propagator.hpp"
@@ -215,59 +214,53 @@ TEST(Propagator, ComputeForcesReportsTimeAndDt)
 
 TEST(Propagator, SingleRankAndOneRankDistributedAreBitwiseIdentical)
 {
-    // the equivalence holds within each compute backend
-    for (KernelBackend backend : {KernelBackend::Scalar, KernelBackend::Simd})
+    auto patch = makePatch();
+    SimulationConfig<double> cfg = patchConfig();
+    cfg.symmetrizeNeighbors = false; // the distributed driver can't (halo pairs)
+    // pin the per-particle walk over the unreordered frame: the
+    // distributed pipeline has no phase L, so the drivers only share a
+    // summation order when the shared-memory one keeps the seed layout
+    cfg.searchMode = NeighborSearchMode::TreeWalk;
+    cfg.sfcReorder = false;
+
+    Simulation<double> shared(patch.ps, patch.setup.box, Eos<double>(patch.setup.eos),
+                              cfg);
+    DistributedSimulation<double> dist(patch.ps, patch.setup.box,
+                                       Eos<double>(patch.setup.eos), cfg, 1);
+
+    shared.computeForces();
+    for (int s = 0; s < 5; ++s)
     {
-        SCOPED_TRACE(std::string(kernelBackendName(backend)));
-        auto patch = makePatch();
-        SimulationConfig<double> cfg = patchConfig();
-        cfg.kernelBackend       = backend;
-        cfg.symmetrizeNeighbors = false; // the distributed driver can't (halo pairs)
-        // pin the per-particle walk over the unreordered frame: the
-        // distributed pipeline has no phase L, so the drivers only share a
-        // summation order when the shared-memory one keeps the seed layout
-        cfg.searchMode = NeighborSearchMode::TreeWalk;
-        cfg.sfcReorder = false;
-
-        Simulation<double> shared(patch.ps, patch.setup.box, Eos<double>(patch.setup.eos),
-                                  cfg);
-        DistributedSimulation<double> dist(patch.ps, patch.setup.box,
-                                           Eos<double>(patch.setup.eos), cfg, 1);
-
-        shared.computeForces();
-        for (int s = 0; s < 5; ++s)
-        {
-            shared.advance();
-            dist.advance();
-        }
-
-        auto g = dist.gather();
-        const auto& ref = shared.particles();
-        ASSERT_EQ(g.size(), ref.size());
-
-        // both drivers executed phases A..H through the same PhaseOp units,
-        // so with one rank (no summation-order changes from halos) the
-        // particle state must be bitwise identical, not merely close
-        auto expectBitwise = [&](const std::vector<double>& a, const std::vector<double>& b,
-                                 const char* field) {
-            for (std::size_t i = 0; i < a.size(); ++i)
-            {
-                ASSERT_EQ(a[i], b[i]) << field << "[" << i << "]";
-            }
-        };
-        ASSERT_EQ(g.id, ref.id);
-        expectBitwise(g.x, ref.x, "x");
-        expectBitwise(g.y, ref.y, "y");
-        expectBitwise(g.z, ref.z, "z");
-        expectBitwise(g.vx, ref.vx, "vx");
-        expectBitwise(g.vy, ref.vy, "vy");
-        expectBitwise(g.vz, ref.vz, "vz");
-        expectBitwise(g.h, ref.h, "h");
-        expectBitwise(g.rho, ref.rho, "rho");
-        expectBitwise(g.u, ref.u, "u");
-        expectBitwise(g.p, ref.p, "p");
-        expectBitwise(g.c, ref.c, "c");
+        shared.advance();
+        dist.advance();
     }
+
+    auto g = dist.gather();
+    const auto& ref = shared.particles();
+    ASSERT_EQ(g.size(), ref.size());
+
+    // both drivers executed phases A..H through the same PhaseOp units,
+    // so with one rank (no summation-order changes from halos) the
+    // particle state must be bitwise identical, not merely close
+    auto expectBitwise = [&](const std::vector<double>& a, const std::vector<double>& b,
+                             const char* field) {
+        for (std::size_t i = 0; i < a.size(); ++i)
+        {
+            ASSERT_EQ(a[i], b[i]) << field << "[" << i << "]";
+        }
+    };
+    ASSERT_EQ(g.id, ref.id);
+    expectBitwise(g.x, ref.x, "x");
+    expectBitwise(g.y, ref.y, "y");
+    expectBitwise(g.z, ref.z, "z");
+    expectBitwise(g.vx, ref.vx, "vx");
+    expectBitwise(g.vy, ref.vy, "vy");
+    expectBitwise(g.vz, ref.vz, "vz");
+    expectBitwise(g.h, ref.h, "h");
+    expectBitwise(g.rho, ref.rho, "rho");
+    expectBitwise(g.u, ref.u, "u");
+    expectBitwise(g.p, ref.p, "p");
+    expectBitwise(g.c, ref.c, "c");
 }
 
 TEST(Propagator, DistributedPhaseLogCoversAllRanks)

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "backend/lane_kernel.hpp"
 #include "domain/box.hpp"
 #include "ic/lattice.hpp"
 #include "math/rng.hpp"
@@ -68,7 +69,7 @@ class DensityKernelSweep : public ::testing::TestWithParam<KernelType>
 TEST_P(DensityKernelSweep, UniformLatticeDensity)
 {
     LatticeFixture f(16);
-    Kernel<double> kernel(GetParam());
+    LaneKernel<double> kernel{Kernel<double>(GetParam())};
     computeVolumeElementWeights(f.ps, VolumeElements::Standard);
     computeDensity(f.ps, f.nl, kernel, f.box);
 
@@ -86,7 +87,7 @@ INSTANTIATE_TEST_SUITE_P(Kernels, DensityKernelSweep,
 TEST(Density, GeneralizedVEMatchesStandardOnUniform)
 {
     LatticeFixture f(12);
-    Kernel<double> kernel(KernelType::Sinc);
+    LaneKernel<double> kernel{Kernel<double>(KernelType::Sinc)};
 
     auto psStd = f.ps;
     computeVolumeElementWeights(psStd, VolumeElements::Standard);
@@ -107,7 +108,7 @@ TEST(Density, GeneralizedVEMatchesStandardOnUniform)
 TEST(Density, MassWeightedVolumesTileTheBox)
 {
     LatticeFixture f(12);
-    Kernel<double> kernel(KernelType::CubicSpline);
+    LaneKernel<double> kernel{Kernel<double>(KernelType::CubicSpline)};
     computeVolumeElementWeights(f.ps, VolumeElements::Standard);
     computeDensity(f.ps, f.nl, kernel, f.box);
     double vtot = 0;
@@ -119,7 +120,7 @@ TEST(Density, MassWeightedVolumesTileTheBox)
 TEST(Density, GradHNearOneOnUniformLattice)
 {
     LatticeFixture f(12);
-    Kernel<double> kernel(KernelType::Sinc);
+    LaneKernel<double> kernel{Kernel<double>(KernelType::Sinc)};
     computeVolumeElementWeights(f.ps, VolumeElements::Standard);
     computeDensity(f.ps, f.nl, kernel, f.box);
     for (std::size_t i = 0; i < f.ps.size(); ++i)
@@ -135,7 +136,7 @@ TEST(Density, VariableMassesRecoverUniformDensity)
     // be complex; instead scale all masses randomly +-20% and verify the
     // density responds linearly (sum m_b W): doubling all masses doubles rho.
     LatticeFixture f(10);
-    Kernel<double> kernel(KernelType::Sinc);
+    LaneKernel<double> kernel{Kernel<double>(KernelType::Sinc)};
     computeVolumeElementWeights(f.ps, VolumeElements::Standard);
     computeDensity(f.ps, f.nl, kernel, f.box);
     auto rho1 = f.ps.rho;
@@ -194,7 +195,7 @@ class GradientSweep : public ::testing::TestWithParam<double> // jitter
 TEST_P(GradientSweep, IadExactForLinearField)
 {
     LatticeFixture f(14, GetParam());
-    Kernel<double> kernel(KernelType::Sinc);
+    LaneKernel<double> kernel{Kernel<double>(KernelType::Sinc)};
     computeVolumeElementWeights(f.ps, VolumeElements::Standard);
     computeDensity(f.ps, f.nl, kernel, f.box);
     computeIadCoefficients(f.ps, f.nl, kernel, f.box);
@@ -230,7 +231,7 @@ TEST_P(GradientSweep, IadBeatsKernelDerivativeOnDisorder)
     if (jitter == 0.0) GTEST_SKIP() << "comparison only meaningful with disorder";
 
     LatticeFixture f(14, jitter);
-    Kernel<double> kernel(KernelType::Sinc);
+    LaneKernel<double> kernel{Kernel<double>(KernelType::Sinc)};
     computeVolumeElementWeights(f.ps, VolumeElements::Standard);
     computeDensity(f.ps, f.nl, kernel, f.box);
     computeIadCoefficients(f.ps, f.nl, kernel, f.box);
@@ -270,7 +271,7 @@ INSTANTIATE_TEST_SUITE_P(Jitter, GradientSweep, ::testing::Values(0.0, 0.1, 0.3)
 TEST(DivCurl, RigidRotationHasZeroDivergence)
 {
     LatticeFixture f(14);
-    Kernel<double> kernel(KernelType::Sinc);
+    LaneKernel<double> kernel{Kernel<double>(KernelType::Sinc)};
     // rigid rotation about z through the box center
     double w = 5.0;
     for (std::size_t i = 0; i < f.ps.size(); ++i)
@@ -307,7 +308,7 @@ TEST(DivCurl, RigidRotationHasZeroDivergence)
 TEST(DivCurl, UniformExpansionHasZeroCurl)
 {
     LatticeFixture f(14);
-    Kernel<double> kernel(KernelType::Sinc);
+    LaneKernel<double> kernel{Kernel<double>(KernelType::Sinc)};
     // Hubble flow v = H (r - center): div v = 3H, curl = 0
     double H = 2.0;
     for (std::size_t i = 0; i < f.ps.size(); ++i)
@@ -348,7 +349,7 @@ class ConservationSweep : public ::testing::TestWithParam<GradientMode>
 TEST_P(ConservationSweep, PairwiseForcesConserveMomentum)
 {
     LatticeFixture f(12, 0.25);
-    Kernel<double> kernel(KernelType::Sinc);
+    LaneKernel<double> kernel{Kernel<double>(KernelType::Sinc)};
     Xoshiro256pp rng(77);
     for (std::size_t i = 0; i < f.ps.size(); ++i)
     {
@@ -398,7 +399,7 @@ INSTANTIATE_TEST_SUITE_P(Gradients, ConservationSweep,
 TEST(MomentumEnergy, UniformPressureNoAcceleration)
 {
     LatticeFixture f(12);
-    Kernel<double> kernel(KernelType::Sinc);
+    LaneKernel<double> kernel{Kernel<double>(KernelType::Sinc)};
     for (std::size_t i = 0; i < f.ps.size(); ++i)
     {
         f.ps.u[i] = 1.0;
@@ -426,7 +427,7 @@ TEST(MomentumEnergy, PressureGradientPushesOutward)
 {
     // high pressure in the center: central particles accelerate away
     LatticeFixture f(12);
-    Kernel<double> kernel(KernelType::Sinc);
+    LaneKernel<double> kernel{Kernel<double>(KernelType::Sinc)};
     computeVolumeElementWeights(f.ps, VolumeElements::Standard);
     computeDensity(f.ps, f.nl, kernel, f.box);
     for (std::size_t i = 0; i < f.ps.size(); ++i)
@@ -458,7 +459,7 @@ TEST(MomentumEnergy, ArtificialViscosityHeatsOnCompression)
 {
     // head-on compression: AV converts kinetic energy to heat (du > 0)
     LatticeFixture f(12);
-    Kernel<double> kernel(KernelType::Sinc);
+    LaneKernel<double> kernel{Kernel<double>(KernelType::Sinc)};
     for (std::size_t i = 0; i < f.ps.size(); ++i)
     {
         // converging flow toward the x = 0.5 plane
@@ -487,7 +488,7 @@ TEST(MomentumEnergy, ArtificialViscosityHeatsOnCompression)
 TEST(MomentumEnergy, ActiveSubsetOnlyTouchesActive)
 {
     LatticeFixture f(10);
-    Kernel<double> kernel(KernelType::Sinc);
+    LaneKernel<double> kernel{Kernel<double>(KernelType::Sinc)};
     computeVolumeElementWeights(f.ps, VolumeElements::Standard);
     computeDensity(f.ps, f.nl, kernel, f.box);
     for (std::size_t i = 0; i < f.ps.size(); ++i)

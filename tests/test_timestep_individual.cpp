@@ -272,11 +272,11 @@ TEST(IndividualPipeline, SelectsBinnedAssemblyAndSavesUpdates)
 
 TEST(IndividualPipeline, SimdBackendDrivesActiveSubsetPhases)
 {
-    // The Simd lane kernels must feed from active-subset index spans like
-    // the Scalar path (phases E-H gather ps[nbrs[...]] for the controller's
-    // force set only). Gates: the binned run under KernelBackend::Simd is
-    // bitwise worker-pool invariant, still saves particle updates, and
-    // conserves energy to the binned-integration budget.
+    // The lane kernels of phases E-H must feed from active-subset index
+    // spans (they gather ps[nbrs[...]] for the controller's force set
+    // only). Gates: the binned run is bitwise worker-pool invariant, still
+    // saves particle updates, and conserves energy to the binned-integration
+    // budget.
     auto runSimd = [&](std::size_t pool) {
         std::size_t saved = WorkerPool::instance().size();
         WorkerPool::instance().resize(pool);
@@ -285,7 +285,6 @@ TEST(IndividualPipeline, SimdBackendDrivesActiveSubsetPhases)
         ic.nSide   = 10;
         auto setup = makeEvrard(ps, ic);
         auto cfg   = individualEvrardConfig();
-        cfg.kernelBackend       = KernelBackend::Simd;
         cfg.timestep.cflCourant = 0.25;
         Simulation<double> sim(std::move(ps), setup.box, Eos<double>(setup.eos), cfg);
         sim.computeForces();
@@ -311,8 +310,9 @@ TEST(IndividualPipeline, SimdBackendDrivesActiveSubsetPhases)
         EXPECT_LT(updates, std::size_t(steps) * n) << "subset walk saved nothing";
         auto c1 = ref.conservation();
         // coarser probe than the golden gallery's nSide-14 run (which holds
-        // the 1e-3 budget under both backends): resolution, not the backend,
-        // sets the drift here — Scalar lands on the same 3.1e-3 to ten digits
+        // the 1e-3 budget): resolution, not the lane arithmetic, sets the
+        // drift here — the per-pair reference loops gave the same 3.1e-3 to
+        // ten digits
         EXPECT_NEAR(c1.totalEnergy(), c0.totalEnergy(),
                     4e-3 * std::abs(c0.totalEnergy()));
     }
@@ -349,14 +349,11 @@ TEST(IndividualPipeline, BitwiseInvariantAcrossWorkerPools)
 {
     // the binned pipeline must produce bit-identical state for any worker
     // pool size: all reductions are per-worker selections, all SPH loops
-    // accumulate-to-self. Pinned to the Scalar reference loops; the Simd
-    // lanes are gated by SimdBackendDrivesActiveSubsetPhases above.
-    auto cfg          = individualEvrardConfig();
-    cfg.kernelBackend = KernelBackend::Scalar;
+    // accumulate-to-self
     auto runPools = [&](std::size_t pool) {
         std::size_t saved = WorkerPool::instance().size();
         WorkerPool::instance().resize(pool);
-        auto sim = makeIndividualEvrard(10, cfg);
+        auto sim = makeIndividualEvrard(10);
         sim.computeForces();
         sim.run(10);
         WorkerPool::instance().resize(saved);

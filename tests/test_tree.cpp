@@ -8,7 +8,6 @@
 #include <set>
 
 #include "math/rng.hpp"
-#include "tree/cell_list.hpp"
 #include "tree/hilbert.hpp"
 #include "tree/morton.hpp"
 #include "tree/neighbors.hpp"
@@ -358,27 +357,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(64, 500, 2000),
                        ::testing::Bool(),
                        ::testing::Values(SfcCurve::Morton, SfcCurve::Hilbert)));
-
-TEST(NeighborSearch, CellListMatchesTree)
-{
-    auto c = randomCloud(3000, 17, 0.06);
-    Box<double> box{{0, 0, 0}, {1, 1, 1}, false, false, true}; // z-periodic
-    Octree<double> tree;
-    tree.build(c.x, c.y, c.z, box);
-
-    NeighborList<double> nlTree(c.x.size(), 512), nlCell(c.x.size(), 512);
-    findNeighborsGlobal(tree, c.x, c.y, c.z, c.h, nlTree);
-    findNeighborsCellList<double>(c.x, c.y, c.z, c.h, box, nlCell);
-
-    for (std::size_t i = 0; i < c.x.size(); ++i)
-    {
-        auto a = nlTree.neighbors(i);
-        auto b = nlCell.neighbors(i);
-        std::set<std::uint32_t> sa(a.begin(), a.end());
-        std::set<std::uint32_t> sb(b.begin(), b.end());
-        ASSERT_EQ(sa, sb) << "particle " << i;
-    }
-}
 
 TEST(NeighborSearch, IndividualWalkUpdatesOnlyActive)
 {

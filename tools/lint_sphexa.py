@@ -31,9 +31,9 @@ relies on but the compiler never enforces (docs/ARCHITECTURE.md,
   simd-containment No raw vectorization outside src/backend/: intrinsic
                    headers (immintrin.h family), _mm* intrinsics,
                    __m128/256/512 vector types, and `#pragma omp simd`.
-                   PR 10 funneled all lane-level code through the
-                   backend kernels so the Simd path has exactly one
-                   audited reduction order; a stray intrinsic elsewhere
+                   All lane-level code lives in the backend kernels,
+                   the one implementation of phases E-H, so it has
+                   exactly one audited reduction order; a stray intrinsic elsewhere
                    reintroduces lane math the bitwise pool/strategy
                    invariance suite cannot see.
 
@@ -291,7 +291,7 @@ def check_simd_containment(path: str, text: str):
             out.append(Violation(
                 "simd-containment", path, lineno,
                 "intrinsics header outside src/backend/ — lane-level code "
-                "lives behind the KernelBackend dispatch seam"))
+                "lives in the backend lane kernels of phases E-H"))
             continue
         for pat, what in SIMD_PATTERNS:
             if pat.search(line):
