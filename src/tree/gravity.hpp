@@ -160,7 +160,13 @@ private:
         Vec3<T> pi{ps.x[i], ps.y[i], ps.z[i]};
         T eps2 = params_.softening * params_.softening;
 
-        Index stack[256];
+        // depth-first: opening a node pops it and pushes at most 8 children,
+        // so the stack holds at most 7 siblings per level plus the deepest
+        // node's 8 children
+        constexpr int kStackSize = 256;
+        static_assert(7 * Octree<T>::maxDepth + 8 <= kStackSize,
+                      "gravity walk stack too small for the octree depth");
+        Index stack[kStackSize];
         int   sp    = 0;
         stack[sp++] = 0;
         while (sp > 0)

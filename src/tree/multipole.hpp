@@ -14,12 +14,17 @@
 /// Raw moments are valid because the trace parts act through the harmonic
 /// Laplacian of 1/r and vanish away from the source.
 ///
-/// Field evaluation contracts the moments with the derivative tensors of
-/// 1/s (ranks 1-5). The monopole and quadrupole contractions are closed
-/// forms; octupole/hexadecapole use generic symmetric-tensor contraction.
+/// Field evaluation (M2P) contracts the moments with the derivative tensors
+/// of 1/s (ranks 1-5) in closed form at every order: a handful of scalar
+/// and vector contractions of the stored unique entries with s, with no
+/// index-tuple loops and no branches on the moments. The generic per-tuple
+/// contraction it replaced is the test oracle (tests/multipole_oracle.hpp).
 
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <string_view>
 
 #include "math/vec.hpp"
 
@@ -136,10 +141,6 @@ struct Multipole
     std::array<T, 6>  q{};  ///< rank-2 raw moments
     std::array<T, 10> o{};  ///< rank-3 raw moments
     std::array<T, 15> hx{}; ///< rank-4 raw moments
-
-    T q2(int i, int j) const { return q[detail::sym2Index(i, j)]; }
-    T o3(int i, int j, int k) const { return o[detail::sym3Index(i, j, k)]; }
-    T h4(int i, int j, int k, int l) const { return hx[detail::sym4Index(i, j, k, l)]; }
 };
 
 /// Particle-to-multipole: accumulate moments of the given particles about
@@ -186,13 +187,42 @@ Multipole<T> computeMultipole(std::span<const T> x, std::span<const T> y,
     return mp;
 }
 
+namespace detail {
+
+/// a_jk s_j s_k of a symmetric rank-2 tensor, from its 6 unique entries in
+/// sym2Index order (00 01 02 11 12 22) weighted by their multiplicities.
 template<class T>
-T d4Tensor(const Vec3<T>& s, T r2, T inv9, int i, int j, int k, int l);
+T quadraticForm(T a00, T a01, T a02, T a11, T a12, T a22, const Vec3<T>& s)
+{
+    return a00 * s.x * s.x + a11 * s.y * s.y + a22 * s.z * s.z +
+           T(2) * (a01 * s.x * s.y + a02 * s.x * s.z + a12 * s.y * s.z);
+}
+
+/// a_jkl s_j s_k s_l of a symmetric rank-3 tensor, from its 10 unique
+/// entries in sym3Index order (000 001 002 011 012 022 111 112 122 222)
+/// weighted by their multiplicities (1, 3 or 6).
 template<class T>
-T d5Tensor(const Vec3<T>& s, T r2, T inv11, int i, int j, int k, int l, int m);
+T cubicForm(T a000, T a001, T a002, T a011, T a012, T a022, T a111, T a112, T a122, T a222,
+            const Vec3<T>& s)
+{
+    T x = s.x, y = s.y, z = s.z;
+    return a000 * x * x * x + a111 * y * y * y + a222 * z * z * z +
+           T(3) * (a001 * x * x * y + a002 * x * x * z + a011 * x * y * y + a022 * x * z * z +
+                   a112 * y * y * z + a122 * y * z * z) +
+           T(6) * a012 * x * y * z;
+}
+
+} // namespace detail
 
 /// Gravitational field (acceleration and potential) of a multipole at
 /// displacement s = r_target - com. G = 1 units; scale externally.
+///
+/// Order n adds phi_n = -((-1)^n / n!) M_n . D_n, with D_n = grad^n (1/s)
+/// and acc_n = -grad phi_n. Each order is a closed form in a few scalars
+/// and vectors of the raw moments contracted with s:
+///     quadrupole     Qs_i   = Q_ij s_j,             trQ = Q_kk
+///     octupole       Oss_i  = O_ijk s_j s_k,        t_j = O_jkk
+///     hexadecapole   Hsss_i = H_ijkl s_j s_k s_l,   P_kl = H_iikl, trP = P_kk
 template<class T>
 void evaluateMultipole(const Multipole<T>& mp, const Vec3<T>& s, MultipoleOrder order,
                        Vec3<T>& acc, T& pot)
@@ -210,144 +240,71 @@ void evaluateMultipole(const Multipole<T>& mp, const Vec3<T>& s, MultipoleOrder 
     acc -= s * (mp.mass * inv3);
     if (order == MultipoleOrder::Monopole) return;
 
-    // quadrupole, closed form with raw moments:
+    // quadrupole, n = 2:
     //   phi_Q  = -(1/2) (3 sQs - r^2 trQ) / r^5
-    //   acc_Q  = +(1/2) [ -15 sQs s / r^7 + 3 (trQ s + 2 Qs) / r^5 ]   (as -grad phi)
+    //   acc_Q  = +(1/2) [ -15 sQs s / r^7 + 3 (trQ s + 2 Qs) / r^5 ]
     {
-        Vec3<T> Qs{mp.q2(0, 0) * s.x + mp.q2(0, 1) * s.y + mp.q2(0, 2) * s.z,
-                   mp.q2(1, 0) * s.x + mp.q2(1, 1) * s.y + mp.q2(1, 2) * s.z,
-                   mp.q2(2, 0) * s.x + mp.q2(2, 1) * s.y + mp.q2(2, 2) * s.z};
+        const auto& q = mp.q; // 00 01 02 11 12 22
+        Vec3<T> Qs{q[0] * s.x + q[1] * s.y + q[2] * s.z,
+                   q[1] * s.x + q[3] * s.y + q[4] * s.z,
+                   q[2] * s.x + q[4] * s.y + q[5] * s.z};
         T sQs = dot(s, Qs);
-        T trQ = mp.q2(0, 0) + mp.q2(1, 1) + mp.q2(2, 2);
+        T trQ = q[0] + q[3] + q[5];
         pot -= T(0.5) * (T(3) * sQs - r2 * trQ) * inv5;
         acc += T(0.5) * (T(-15) * sQs * inv7 * s + T(3) * inv5 * (trQ * s + T(2) * Qs));
     }
     if (order == MultipoleOrder::Quadrupole) return;
 
-    T inv9  = inv7 * inv2;
-    T inv11 = inv9 * inv2;
+    T inv9 = inv7 * inv2;
 
-    // octupole: phi_O = +(1/6) O_jkl D3_jkl ... with Taylor sign (-1)^3:
-    // phi = -G sum_n ((-1)^n / n!) Moment_n . D_n; for n=3 the sign is -1/6.
-    // D3_jkl = -(15 s_j s_k s_l - 3 r^2 (s_j d_kl + s_k d_jl + s_l d_jk)) / r^7
+    // octupole, n = 3, with O.D3 = -(15 Osss - 9 r^2 t.s) / r^7:
+    //   phi_O  = +(1/6) O.D3
+    //   acc_O  = +(1/6) [ (45 Oss - 9 r^2 t) / r^7 + (45 r^2 t.s - 105 Osss) s / r^9 ]
+    // Oss_i is the quadratic form of the slice O_i.., whose unique entries
+    // are o[0..5], o[1,3,4,6,7,8] and o[2,4,5,7,8,9] in sym2Index order.
     {
-        // contract O with D3 (potential) and with D4 (acceleration)
-        T o_d3 = T(0);
-        Vec3<T> o_d4{};
-        for (int j = 0; j < 3; ++j)
-            for (int k = 0; k < 3; ++k)
-                for (int l = 0; l < 3; ++l)
-                {
-                    T ojkl = mp.o3(j, k, l);
-                    if (ojkl == T(0)) continue;
-                    // D3
-                    T t = T(15) * s[j] * s[k] * s[l];
-                    T dterm = T(0);
-                    if (k == l) dterm += s[j];
-                    if (j == l) dterm += s[k];
-                    if (j == k) dterm += s[l];
-                    T d3 = -(t - T(3) * r2 * dterm) * inv7;
-                    o_d3 += ojkl * d3;
-                    // D4_ijkl for each i
-                    for (int i = 0; i < 3; ++i)
-                    {
-                        o_d4[i] += ojkl * d4Tensor(s, r2, inv9, i, j, k, l);
-                    }
-                }
-        // phi += -G * (-1/6) O.D3  (with G=1 folded): pot -= (-1/6) o_d3
-        pot += o_d3 / T(6);
-        // acc_i = -d(phi)/ds_i = -(1/6) O.D4_i
-        acc -= o_d4 / T(6);
+        const auto& o = mp.o; // 000 001 002 011 012 022 111 112 122 222
+        Vec3<T> Oss{detail::quadraticForm(o[0], o[1], o[2], o[3], o[4], o[5], s),
+                    detail::quadraticForm(o[1], o[3], o[4], o[6], o[7], o[8], s),
+                    detail::quadraticForm(o[2], o[4], o[5], o[7], o[8], o[9], s)};
+        Vec3<T> t{o[0] + o[3] + o[5], o[1] + o[6] + o[8], o[2] + o[7] + o[9]};
+        T Osss = dot(s, Oss);
+        T ts   = dot(t, s);
+        pot -= (T(15) * Osss - T(9) * r2 * ts) * inv7 / T(6);
+        acc += ((T(45) * Oss - T(9) * r2 * t) * inv7 +
+                (T(45) * r2 * ts - T(105) * Osss) * inv9 * s) / T(6);
     }
     if (order == MultipoleOrder::Octupole) return;
 
-    // hexadecapole: n=4, sign +1/24
+    T inv11 = inv9 * inv2;
+
+    // hexadecapole, n = 4, with H.D4 = (105 Hssss - 90 r^2 sPs + 9 r^4 trP) / r^9:
+    //   phi_H  = -(1/24) H.D4
+    //   acc_H  = +(1/24) [ (420 Hsss - 180 r^2 Ps) / r^9
+    //                      + (630 r^2 sPs - 945 Hssss - 45 r^4 trP) s / r^11 ]
+    // Hsss_i is the cubic form of the slice H_i..., whose unique entries are
+    // h[0..9], h[1,3,4,6,7,8,10,11,12,13] and h[2,4,5,7,8,9,11,12,13,14] in
+    // sym3Index order.
     {
-        T h_d4 = T(0);
-        Vec3<T> h_d5{};
-        for (int j = 0; j < 3; ++j)
-            for (int k = 0; k < 3; ++k)
-                for (int l = 0; l < 3; ++l)
-                    for (int mth = 0; mth < 3; ++mth)
-                    {
-                        T hj = mp.h4(j, k, l, mth);
-                        if (hj == T(0)) continue;
-                        h_d4 += hj * d4Tensor(s, r2, inv9, j, k, l, mth);
-                        for (int i = 0; i < 3; ++i)
-                        {
-                            h_d5[i] += hj * d5Tensor(s, r2, inv11, i, j, k, l, mth);
-                        }
-                    }
-        pot -= h_d4 / T(24);
-        acc += h_d5 / T(24);
+        const auto& h = mp.hx; // 0000 0001 0002 0011 0012 0022 0111 0112 0122 0222
+                               // 1111 1112 1122 1222 2222
+        Vec3<T> Hsss{
+            detail::cubicForm(h[0], h[1], h[2], h[3], h[4], h[5], h[6], h[7], h[8], h[9], s),
+            detail::cubicForm(h[1], h[3], h[4], h[6], h[7], h[8], h[10], h[11], h[12], h[13], s),
+            detail::cubicForm(h[2], h[4], h[5], h[7], h[8], h[9], h[11], h[12], h[13], h[14], s)};
+        T p00 = h[0] + h[3] + h[5], p01 = h[1] + h[6] + h[8], p02 = h[2] + h[7] + h[9];
+        T p11 = h[3] + h[10] + h[12], p12 = h[4] + h[11] + h[13], p22 = h[5] + h[12] + h[14];
+        Vec3<T> Ps{p00 * s.x + p01 * s.y + p02 * s.z,
+                   p01 * s.x + p11 * s.y + p12 * s.z,
+                   p02 * s.x + p12 * s.y + p22 * s.z};
+        T Hssss = dot(s, Hsss);
+        T sPs   = dot(s, Ps);
+        T trP   = p00 + p11 + p22;
+        T r4    = r2 * r2;
+        pot -= (T(105) * Hssss - T(90) * r2 * sPs + T(9) * r4 * trP) * inv9 / T(24);
+        acc += ((T(420) * Hsss - T(180) * r2 * Ps) * inv9 +
+                (T(630) * r2 * sPs - T(945) * Hssss - T(45) * r4 * trP) * inv11 * s) / T(24);
     }
-}
-
-/// Rank-4 derivative tensor of 1/s:
-/// D4 = (105 ssss - 15 r^2 (ss d, 6 terms) + 3 r^4 (dd, 3 terms)) / r^9.
-template<class T>
-T d4Tensor(const Vec3<T>& s, T r2, T inv9, int i, int j, int k, int l)
-{
-    T t1 = T(105) * s[i] * s[j] * s[k] * s[l];
-    T t2 = T(0);
-    if (k == l) t2 += s[i] * s[j];
-    if (j == l) t2 += s[i] * s[k];
-    if (j == k) t2 += s[i] * s[l];
-    if (i == l) t2 += s[j] * s[k];
-    if (i == k) t2 += s[j] * s[l];
-    if (i == j) t2 += s[k] * s[l];
-    T t3 = T(0);
-    if (i == j && k == l) t3 += T(1);
-    if (i == k && j == l) t3 += T(1);
-    if (i == l && j == k) t3 += T(1);
-    return (t1 - T(15) * r2 * t2 + T(3) * r2 * r2 * t3) * inv9;
-}
-
-/// Rank-5 derivative tensor of 1/s:
-/// D5 = -(945 sssss - 105 r^2 (sss d, 10 terms) + 15 r^4 (s dd, 15 terms)) / r^11.
-template<class T>
-T d5Tensor(const Vec3<T>& s, T r2, T inv11, int i, int j, int k, int l, int m)
-{
-    const int idx[5] = {i, j, k, l, m};
-    T t1 = T(945) * s[i] * s[j] * s[k] * s[l] * s[m];
-
-    // 10 terms: delta over one pair, s over remaining three
-    T t2 = T(0);
-    for (int a = 0; a < 5; ++a)
-        for (int b = a + 1; b < 5; ++b)
-        {
-            if (idx[a] != idx[b]) continue;
-            T prod = T(1);
-            for (int c = 0; c < 5; ++c)
-            {
-                if (c != a && c != b) prod *= s[idx[c]];
-            }
-            t2 += prod;
-        }
-
-    // 15 terms: two disjoint delta pairs, s over the remaining index
-    T t3 = T(0);
-    for (int a = 0; a < 5; ++a)
-        for (int b = a + 1; b < 5; ++b)
-        {
-            for (int c = a + 1; c < 5; ++c)
-            {
-                if (c == b) continue;
-                for (int d = c + 1; d < 5; ++d)
-                {
-                    if (d == b) continue;
-                    // pairs (a,b) and (c,d), a < b, c < d, a < c: each
-                    // unordered pair-of-pairs counted once
-                    if (idx[a] == idx[b] && idx[c] == idx[d])
-                    {
-                        int e = 0 + 1 + 2 + 3 + 4 - a - b - c - d;
-                        t3 += s[idx[e]];
-                    }
-                }
-            }
-        }
-
-    return -(t1 - T(105) * r2 * t2 + T(15) * r2 * r2 * t3) * inv11;
 }
 
 } // namespace sphexa

@@ -1,19 +1,26 @@
 /// Gravity solver tests: multipole moments and field evaluation against
-/// analytic results, Barnes-Hut accuracy versus direct summation as a
-/// function of opening angle and expansion order, Newton's third law, and
-/// potential-energy consistency.
+/// analytic results, the closed-form M2P against the generic tensor
+/// contraction of tests/multipole_oracle.hpp, Barnes-Hut accuracy versus
+/// direct summation as a function of opening angle and expansion order,
+/// Newton's third law, and potential-energy consistency.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <vector>
 
 #include "math/rng.hpp"
+#include "multipole_oracle.hpp"
 #include "sph/particles.hpp"
 #include "tree/gravity.hpp"
 #include "tree/multipole.hpp"
 #include "tree/octree.hpp"
 
 using namespace sphexa;
+using sphexa::oracle::d4Tensor;
+using sphexa::oracle::d5Tensor;
 
 namespace {
 
@@ -94,9 +101,9 @@ TEST(Multipole, TwoBodyQuadrupoleKnownValue)
     auto mp = computeMultipole<double>(x, y, z, m, idx, MultipoleOrder::Quadrupole);
     EXPECT_DOUBLE_EQ(mp.mass, 2.0);
     EXPECT_NEAR(mp.com.x, 0.0, 1e-15);
-    EXPECT_NEAR(mp.q2(0, 0), 2 * d * d, 1e-15);
-    EXPECT_NEAR(mp.q2(1, 1), 0.0, 1e-15);
-    EXPECT_NEAR(mp.q2(0, 1), 0.0, 1e-15);
+    EXPECT_NEAR(oracle::q2(mp, 0, 0), 2 * d * d, 1e-15);
+    EXPECT_NEAR(oracle::q2(mp, 1, 1), 0.0, 1e-15);
+    EXPECT_NEAR(oracle::q2(mp, 0, 1), 0.0, 1e-15);
 }
 
 TEST(Multipole, FieldMatchesDirectForDistantCluster)
@@ -257,6 +264,201 @@ TEST(Multipole, D5IsGradientOfD4ViaFiniteDifference)
             }
 }
 
+// --- closed-form M2P vs the generic contraction ------------------------------
+
+namespace {
+
+/// Unit directions for the M2P sweeps: the 26 axis, face-diagonal and
+/// body-diagonal directions (s with exact zeros and equal components)
+/// first, then random ones up to \p n.
+std::vector<Vec3<double>> sweepDirections(std::size_t n, std::uint64_t seed)
+{
+    std::vector<Vec3<double>> dirs;
+    for (int a = -1; a <= 1; ++a)
+        for (int b = -1; b <= 1; ++b)
+            for (int c = -1; c <= 1; ++c)
+            {
+                if (a == 0 && b == 0 && c == 0) continue;
+                Vec3<double> v{double(a), double(b), double(c)};
+                dirs.push_back(v / norm(v));
+            }
+    Xoshiro256pp rng(seed);
+    while (dirs.size() < n)
+    {
+        Vec3<double> v{rng.normal(), rng.normal(), rng.normal()};
+        dirs.push_back(v / norm(v));
+    }
+    return dirs;
+}
+
+/// Hexadecapole moments of a random 50-particle cluster in [-0.1, 0.1]^3,
+/// flattened onto the z = 0 plane (\p dims = 2) or the x axis (\p dims = 1)
+/// so that every moment entry with an index on a missing axis is exactly 0.
+Multipole<double> clusterMoments(std::uint64_t seed, int dims)
+{
+    Xoshiro256pp rng(seed);
+    std::vector<double> x, y, z, m;
+    std::vector<std::uint32_t> idx;
+    for (std::uint32_t i = 0; i < 50; ++i)
+    {
+        x.push_back(rng.uniform(-0.1, 0.1));
+        y.push_back(dims >= 2 ? rng.uniform(-0.1, 0.1) : 0.0);
+        z.push_back(dims >= 3 ? rng.uniform(-0.1, 0.1) : 0.0);
+        m.push_back(rng.uniform(0.5, 1.5));
+        idx.push_back(i);
+    }
+    return computeMultipole<double>(x, y, z, m, idx, MultipoleOrder::Hexadecapole);
+}
+
+/// Arbitrary symmetric moments (not those of any mass distribution) with
+/// about a third of the unique entries exactly zero.
+Multipole<double> syntheticMoments(std::uint64_t seed)
+{
+    Xoshiro256pp rng(seed);
+    auto draw = [&] { return rng.uniform() < 1.0 / 3.0 ? 0.0 : rng.uniform(-1.0, 1.0); };
+    Multipole<double> mp;
+    mp.mass = rng.uniform(0.5, 1.5);
+    for (auto& v : mp.q) v = draw();
+    for (auto& v : mp.o) v = draw();
+    for (auto& v : mp.hx) v = draw();
+    return mp;
+}
+
+/// The order-n term alone: every other order's moments zeroed, so the
+/// comparison is not drowned by the monopole.
+Multipole<double> isolateOrder(Multipole<double> mp, MultipoleOrder order)
+{
+    if (order != MultipoleOrder::Monopole) mp.mass = 0;
+    if (order != MultipoleOrder::Quadrupole) mp.q = {};
+    if (order != MultipoleOrder::Octupole) mp.o = {};
+    if (order != MultipoleOrder::Hexadecapole) mp.hx = {};
+    return mp;
+}
+
+/// Tensor rank of the moment an order adds (0, 2, 3, 4: the dipole
+/// vanishes about the center of mass).
+int momentRank(MultipoleOrder order)
+{
+    return order == MultipoleOrder::Monopole ? 0 : int(order);
+}
+
+/// Largest |unique entry| of the order's moment.
+double momentScale(const Multipole<double>& mp, MultipoleOrder order)
+{
+    auto maxAbs = [](const auto& a) {
+        double v = 0;
+        for (double e : a) v = std::max(v, std::abs(e));
+        return v;
+    };
+    switch (order)
+    {
+        case MultipoleOrder::Monopole: return std::abs(mp.mass);
+        case MultipoleOrder::Quadrupole: return maxAbs(mp.q);
+        case MultipoleOrder::Octupole: return maxAbs(mp.o);
+        case MultipoleOrder::Hexadecapole: return maxAbs(mp.hx);
+    }
+    return 0;
+}
+
+constexpr MultipoleOrder kOrders[] = {MultipoleOrder::Monopole, MultipoleOrder::Quadrupole,
+                                      MultipoleOrder::Octupole, MultipoleOrder::Hexadecapole};
+
+std::vector<Multipole<double>> parityMoments()
+{
+    return {clusterMoments(11, 3), clusterMoments(12, 2), clusterMoments(13, 1),
+            syntheticMoments(14), syntheticMoments(15)};
+}
+
+} // namespace
+
+TEST(MultipoleClosedForm, MatchesOracleAtEveryOrder)
+{
+    // each order's term alone, on 1e4 directions at 3x .. 20x the source
+    // size, relative to the term's natural scale |M_n| / r^(n+1) (potential)
+    // and |M_n| / r^(n+2) (acceleration) for a rank-n moment
+    const double radii[] = {0.3, 0.8, 2.0};
+    auto dirs = sweepDirections(10000, 21);
+    for (const auto& full : parityMoments())
+        for (auto order : kOrders)
+        {
+            auto mp = isolateOrder(full, order);
+            double moment = momentScale(full, order);
+            int n = momentRank(order);
+            double worst = 0;
+            for (std::size_t d = 0; d < dirs.size(); ++d)
+            {
+                double r = radii[d % 3];
+                Vec3<double> s = r * dirs[d];
+                Vec3<double> acc{}, accRef{};
+                double pot = 0, potRef = 0;
+                evaluateMultipole(mp, s, order, acc, pot);
+                oracle::evaluateMultipoleOracle(mp, s, order, accRef, potRef);
+                double potScale = std::abs(potRef) + moment / std::pow(r, n + 1);
+                double accScale = norm(accRef) + moment / std::pow(r, n + 2);
+                worst = std::max({worst, std::abs(pot - potRef) / potScale,
+                                  norm(acc - accRef) / accScale});
+            }
+            EXPECT_LT(worst, 1e-12) << multipoleOrderName(order);
+        }
+}
+
+TEST(MultipoleClosedForm, FullExpansionMatchesOracle)
+{
+    // all orders summed, as the tree walk evaluates them
+    auto dirs = sweepDirections(2000, 22);
+    for (const auto& mp : parityMoments())
+        for (auto order : kOrders)
+            for (std::size_t d = 0; d < dirs.size(); ++d)
+            {
+                Vec3<double> s = (0.3 + 0.5 * double(d % 4)) * dirs[d];
+                Vec3<double> acc{}, accRef{};
+                double pot = 0, potRef = 0;
+                evaluateMultipole(mp, s, order, acc, pot);
+                oracle::evaluateMultipoleOracle(mp, s, order, accRef, potRef);
+                ASSERT_LT(std::abs(pot - potRef), 1e-12 * std::abs(potRef));
+                ASSERT_LT(norm(acc - accRef), 1e-12 * norm(accRef));
+            }
+}
+
+TEST(MultipoleClosedForm, AccelerationIsMinusGradientOfPotential)
+{
+    // central differences of the closed-form potential, per isolated order
+    auto dirs = sweepDirections(200, 23);
+    for (const auto& full : parityMoments())
+        for (auto order : kOrders)
+        {
+            auto mp = isolateOrder(full, order);
+            double moment = momentScale(full, order);
+            int n = momentRank(order);
+            auto potAt = [&](const Vec3<double>& s) {
+                Vec3<double> a{};
+                double p = 0;
+                evaluateMultipole(mp, s, order, a, p);
+                return p;
+            };
+            double worst = 0;
+            for (std::size_t d = 0; d < dirs.size(); ++d)
+            {
+                double r = 0.5 + 0.5 * double(d % 3);
+                Vec3<double> s = r * dirs[d];
+                Vec3<double> acc{};
+                double pot = 0;
+                evaluateMultipole(mp, s, order, acc, pot);
+                double h = 1e-5 * r;
+                Vec3<double> fd{};
+                for (int i = 0; i < 3; ++i)
+                {
+                    Vec3<double> sp = s, sm = s;
+                    sp[i] += h;
+                    sm[i] -= h;
+                    fd[i] = -(potAt(sp) - potAt(sm)) / (2 * h);
+                }
+                worst = std::max(worst, norm(acc - fd) / (moment / std::pow(r, n + 2)));
+            }
+            EXPECT_LT(worst, 1e-7) << multipoleOrderName(order);
+        }
+}
+
 // --- Barnes-Hut solver --------------------------------------------------------
 
 TEST(GravitySolver, ErrorDecreasesWithTheta)
@@ -410,4 +612,34 @@ TEST(GravitySolver, StatsAreCounted)
     // far fewer than N^2 direct interactions
     EXPECT_LT(stats.p2pInteractions + stats.m2pInteractions,
               ps.size() * ps.size() / 4);
+}
+
+TEST(GravitySolver, InteractionCountsArePinned)
+{
+    // the walk, the MAC and the leaf P2P sums decide these counts; the M2P
+    // arithmetic must not move them (values of the hexadecapole walk on
+    // this fixed cluster before the closed-form M2P)
+    auto ps = randomCluster(2000, 47);
+    Box<double> box = computeBoundingBox<double>(ps.x, ps.y, ps.z);
+    Octree<double> tree;
+    Octree<double>::BuildParams bp;
+    bp.leafSize = 16;
+    tree.build(ps.x, ps.y, ps.z, box, bp);
+    const struct
+    {
+        double theta;
+        std::size_t p2p, m2p;
+    } pinned[] = {{0.6, 269399, 362271}, {0.3, 1315989, 567081}};
+    for (const auto& c : pinned)
+    {
+        GravityParams<double> params;
+        params.theta = c.theta;
+        params.order = MultipoleOrder::Hexadecapole;
+        GravitySolver<double> solver;
+        solver.prepare(tree, ps, params);
+        GravityStats stats;
+        solver.accumulate(ps, &stats);
+        EXPECT_EQ(stats.p2pInteractions, c.p2p) << "theta=" << c.theta;
+        EXPECT_EQ(stats.m2pInteractions, c.m2p) << "theta=" << c.theta;
+    }
 }
