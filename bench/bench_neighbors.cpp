@@ -13,6 +13,15 @@
 /// the steady-state no-allocation-churn property of the grow-only
 /// NeighborList reset is asserted on every point.
 ///
+/// Per N, an "h_iteration" record times the smoothing-length iteration of
+/// phase C (updateSmoothingLengths, which shrinks rows in place and re-walks
+/// only rows that must grow) against the re-walk-everything loop of
+/// tests/smoothing_length_oracle.hpp, both from h = 2dx (~270 neighbors for
+/// a target of 100, the set-up start) on the SFC-sorted lattice with phase
+/// B's cluster lists, on 4 workers. The bench exits 1 if h, nc or any row
+/// differs from the oracle, or if the speedup at the largest N falls below
+/// kMinHSpeedup.
+///
 /// Environment:
 ///   SPHEXA_NEIGHBORS_MAXN=NNN  cap the sweep (default 1000000; CI uses a
 ///                              small cap for a smoke run)
@@ -20,6 +29,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -35,6 +45,8 @@
 #include "ic/lattice.hpp"
 #include "parallel/parallel_for.hpp"
 #include "perf/timer.hpp"
+#include "smoothing_length_oracle.hpp"
+#include "sph/smoothing_length.hpp"
 #include "tree/cluster_list.hpp"
 #include "tree/neighbors.hpp"
 #include "tree/sfc_sort.hpp"
@@ -45,6 +57,11 @@ namespace {
 
 constexpr unsigned kNgmax       = 192;
 constexpr unsigned kClusterSize = 32;
+/// List capacity of the h-iteration records (the config default): the
+/// h = 2dx start lists ~270 neighbors, which kNgmax would truncate.
+constexpr unsigned kHNgmax = 384;
+/// Gate on the h-iteration speedup over the oracle at the largest N.
+constexpr double kMinHSpeedup = 3.0;
 
 /// Jittered unit-box lattice sized for ~100 neighbors per particle (the
 /// paper's working point), fully periodic like the Sedov box.
@@ -74,6 +91,73 @@ struct Point
     std::size_t neighbors{};
     double speedupVsWalk{}; ///< cluster records only: walk/cluster search time
 };
+
+/// One h-iteration record: the oracle and the shipped loop on the same
+/// start.
+struct HPoint
+{
+    std::size_t n{};
+    std::size_t pool{};
+    double oracleSeconds{};
+    double shippedSeconds{};
+    unsigned iterations{};
+    std::size_t rewalked{};       ///< shipped: rows re-walked over all passes
+    std::size_t oracleRewalked{}; ///< oracle: every revisited row
+    std::size_t neighbors{};
+};
+
+/// What an h-iteration run leaves behind, with each row reduced to an
+/// FNV-1a digest of (count, entries) so the oracle's lists and the shipped
+/// loop's can be compared without holding both at 1e6 particles.
+struct HRun
+{
+    double seconds{};
+    SmoothingLengthResult res;
+    std::vector<double> h;
+    std::vector<int> nc;
+    std::vector<std::uint64_t> rows;
+    std::size_t overflow{};
+    std::size_t neighbors{};
+};
+
+/// Time \p loop (min over \p reps) from h = \p h0 and phase B's cluster
+/// lists; the start is rebuilt untimed before every repetition.
+template<class Loop>
+HRun timeHIteration(const ParticleSetD& sorted, const Box<double>& box, double h0,
+                    std::size_t reps, Loop&& loop)
+{
+    HRun run;
+    ParticleSetD ps;
+    Octree<double> tree;
+    NeighborList<double> nl;
+    ClusterWorkspace<double> ws;
+    for (std::size_t r = 0; r < reps; ++r)
+    {
+        ps = sorted;
+        for (auto& h : ps.h)
+            h = h0;
+        tree.build(ps.x, ps.y, ps.z, box);
+        nl.reset(ps.size(), kHNgmax);
+        findNeighborsClustered(tree, ps.x, ps.y, ps.z, ps.h, nl, ws, kClusterSize);
+        Timer t;
+        run.res  = loop(ps, tree, nl);
+        double s = t.lap();
+        if (r == 0 || s < run.seconds) run.seconds = s;
+    }
+    run.h  = ps.h;
+    run.nc = ps.nc;
+    run.rows.resize(nl.size());
+    for (std::size_t i = 0; i < nl.size(); ++i)
+    {
+        std::uint64_t d = 1469598103934665603ull ^ nl.count(i);
+        for (auto j : nl.neighbors(i))
+            d = (d ^ j) * 1099511628211ull;
+        run.rows[i] = d;
+    }
+    run.overflow  = nl.overflowCount();
+    run.neighbors = nl.totalNeighbors();
+    return run;
+}
 
 void setWorkers(std::size_t pool)
 {
@@ -113,6 +197,17 @@ void printPoint(const Point& p, bool last)
     std::printf("}%s\n", last ? "" : ",");
 }
 
+void printHPoint(const HPoint& p, bool last)
+{
+    std::printf("    {\"n\": %zu, \"pool\": %zu, \"mode\": \"h_iteration\", "
+                "\"oracle_seconds\": %.6f, \"shipped_seconds\": %.6f, "
+                "\"h_speedup\": %.3f, \"iterations\": %u, \"rewalked\": %zu, "
+                "\"oracle_rewalked\": %zu, \"neighbors\": %zu}%s\n",
+                p.n, p.pool, p.oracleSeconds, p.shippedSeconds,
+                p.oracleSeconds / p.shippedSeconds, p.iterations, p.rewalked,
+                p.oracleRewalked, p.neighbors, last ? "" : ",");
+}
+
 } // namespace
 
 int main()
@@ -126,6 +221,7 @@ int main()
     if (sides.empty()) sides.push_back(10);
 
     std::vector<Point> points;
+    std::vector<HPoint> hpoints;
     for (std::size_t side : sides)
     {
         Box<double> box;
@@ -240,6 +336,56 @@ int main()
                          n, pool, walk.searchSeconds, clu.searchSeconds,
                          clu.sortSeconds, clu.speedupVsWalk);
         }
+
+        // --- phase C h iteration: shipped loop vs the re-walk oracle -----
+        {
+            setWorkers(4);
+            ParticleSetD sorted = psBase;
+            SfcSorter<double> sorter;
+            sorter.apply(sorted, box, SfcCurve::Hilbert);
+            const double h0 = 2.0 / double(side); // h = 2dx
+            SmoothingLengthParams<double> hp;     // target 100 +- 5
+            auto oracleRun = timeHIteration(sorted, box, h0, reps, [&](auto& ps, auto& tree, auto& nl) {
+                return oracle::updateSmoothingLengthsOracle(ps, tree, nl, hp, {}, true);
+            });
+            auto shipped = timeHIteration(sorted, box, h0, reps, [&](auto& ps, auto& tree, auto& nl) {
+                return updateSmoothingLengths(ps, tree, nl, hp, {}, true);
+            });
+            if (shipped.h != oracleRun.h || shipped.nc != oracleRun.nc ||
+                shipped.rows != oracleRun.rows || shipped.overflow != oracleRun.overflow ||
+                shipped.res.iterations != oracleRun.res.iterations ||
+                shipped.res.unconverged != oracleRun.res.unconverged)
+            {
+                std::fprintf(stderr,
+                             "FATAL: h iteration differs from the re-walk oracle at n=%zu\n", n);
+                return 1;
+            }
+            HPoint hpt;
+            hpt.n              = n;
+            hpt.pool           = 4;
+            hpt.oracleSeconds  = oracleRun.seconds;
+            hpt.shippedSeconds = shipped.seconds;
+            hpt.iterations     = shipped.res.iterations;
+            hpt.rewalked       = shipped.res.rewalked;
+            hpt.oracleRewalked = oracleRun.res.rewalked;
+            hpt.neighbors      = shipped.neighbors;
+            hpoints.push_back(hpt);
+            std::fprintf(stderr,
+                         "n=%7zu h iteration: oracle %.4fs shipped %.4fs (%.2fx, %u passes, "
+                         "%zu of %zu rows re-walked)\n",
+                         n, hpt.oracleSeconds, hpt.shippedSeconds,
+                         hpt.oracleSeconds / hpt.shippedSeconds, hpt.iterations, hpt.rewalked,
+                         hpt.oracleRewalked);
+        }
+    }
+
+    const HPoint& largest = hpoints.back();
+    if (largest.oracleSeconds < kMinHSpeedup * largest.shippedSeconds)
+    {
+        std::fprintf(stderr,
+                     "FATAL: h-iteration speedup %.2fx at n=%zu is below the %.1fx floor\n",
+                     largest.oracleSeconds / largest.shippedSeconds, largest.n, kMinHSpeedup);
+        return 1;
     }
 
     std::printf("{\n  \"bench\": \"neighbors-crossover\",\n");
@@ -247,7 +393,9 @@ int main()
     std::printf("  \"max_n\": %zu,\n", maxN);
     std::printf("  \"points\": [\n");
     for (std::size_t i = 0; i < points.size(); ++i)
-        printPoint(points[i], i + 1 == points.size());
+        printPoint(points[i], false);
+    for (std::size_t i = 0; i < hpoints.size(); ++i)
+        printHPoint(hpoints[i], i + 1 == hpoints.size());
     std::printf("  ]\n}\n");
     return 0;
 }

@@ -48,6 +48,12 @@ struct StepReport
     std::size_t activeParticles = 0;
     GravityStats gravityStats{};
     unsigned hIterations = 0;
+    /// Phase C rows re-walked (summed over its passes); the other rows it
+    /// revisited were shrunk in place.
+    std::size_t hRewalked = 0;
+    /// Particles whose neighbor count was still out of tolerance when
+    /// phase C hit its iteration cap. Zero in a healthy run.
+    std::size_t hUnconverged = 0;
     /// Neighbor-list fills that exceeded ngmax this step (truncated lists).
     /// Zero in a healthy run; the shared-memory driver warns once per step
     /// when it is not, instead of silently losing interactions.
@@ -133,6 +139,8 @@ struct StepContext
     /// zero outside the ghostCreate..ghostRemove bracket.
     std::size_t nGhosts = 0;
     unsigned hIterations = 0;
+    std::size_t hRewalked = 0;
+    std::size_t hUnconverged = 0;
     std::size_t neighborInteractions = 0;
     std::size_t activeParticles = 0;
     std::size_t neighborOverflow = 0;

@@ -145,21 +145,11 @@ WorkloadProbe probeWorkload(const ParticleSet<T>& global, const Box<T>& box,
         std::iota(localIdx.begin(), localIdx.end(), std::size_t(0));
         NeighborList<T> nl(ps.size(), cfg.ngmax);
         findNeighborsIndividual(tree, ps.x, ps.y, ps.z, ps.h, localIdx, nl);
-        for (unsigned it = 0; it < 5; ++it)
-        {
-            std::vector<std::size_t> redo;
-            for (std::size_t i = 0; i < nLoc; ++i)
-            {
-                if (!neighborCountConverged(nl.count(i), cfg.targetNeighbors,
-                                            cfg.neighborTolerance))
-                {
-                    ps.h[i] = updateH(ps.h[i], nl.count(i), cfg.targetNeighbors);
-                    redo.push_back(i);
-                }
-            }
-            if (redo.empty()) break;
-            findNeighborsIndividual(tree, ps.x, ps.y, ps.z, ps.h, redo, nl);
-        }
+        SmoothingLengthParams<T> hp;
+        hp.targetNeighbors = cfg.targetNeighbors;
+        hp.tolerance       = cfg.neighborTolerance;
+        hp.maxIterations   = 5;
+        updateSmoothingLengths(ps, tree, nl, hp, localIdx, /*reuseLists*/ true);
         std::size_t inter = 0;
         for (std::size_t i = 0; i < nLoc; ++i)
             inter += nl.count(i);

@@ -7,14 +7,24 @@
 /// "The simulation will try to reach a given target number of neighbors and
 /// this influences the value of the resulting smoothing length" (paper,
 /// footnote 2). Each particle's h is iterated until its neighbor count is
-/// within tolerance of the target (~10^2 per the paper), re-searching only
-/// the non-converged particles each pass — an individual tree walk.
+/// within tolerance of the target (~10^2 per the paper). Only the
+/// non-converged particles are revisited each pass, and each row stays equal
+/// to a fresh tree walk at the particle's current h: a row whose support
+/// shrinks is compacted in place (NeighborList::shrinkRow), and only a row
+/// that must grow, or may be truncated, is re-walked (an individual tree
+/// walk). Starting from an over-sized h — the usual set-up, since the damped
+/// update approaches the target from above without overshooting — almost
+/// every pass is compaction alone. tests/smoothing_length_oracle.hpp keeps
+/// the re-walk-everything loop as the bitwise reference.
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <span>
 #include <type_traits>
 #include <vector>
 
+#include "backend/simd_tile.hpp"
 #include "parallel/parallel_for.hpp"
 #include "sph/particles.hpp"
 #include "tree/neighbors.hpp"
@@ -35,6 +45,7 @@ struct SmoothingLengthResult
 {
     unsigned iterations   = 0; ///< passes actually performed
     std::size_t unconverged = 0; ///< particles still out of tolerance
+    std::size_t rewalked    = 0; ///< rows re-walked, summed over the passes
 };
 
 /// Is neighbor count \p c within tolerance of the target?
@@ -55,7 +66,9 @@ T updateH(T h, unsigned count, unsigned target)
 
 /// Iterate h and neighbor lists to convergence. The octree must already be
 /// built over current positions; it is reused (h changes don't move
-/// particles). On return, nl holds lists consistent with the final h.
+/// particles). On entry each iterated row must be the walk at the current h
+/// (phase B's lists, or the initial walk below); on return, nl holds the
+/// walk at the final h.
 ///
 /// With an empty \p subset, all particles are iterated and (unless
 /// \p reuseLists says the caller just filled nl for the current h) an
@@ -79,8 +92,11 @@ updateSmoothingLengths(ParticleSet<T>& ps, const Octree<T>& tree, NeighborList<T
     }
 
     SmoothingLengthResult res;
-    std::vector<std::size_t> active;
+    std::vector<std::size_t> active, rewalk;
+    std::vector<unsigned char> mustRewalk;
     active.reserve(n);
+    const backend::PeriodicWrap<T> wrap(tree.box());
+    std::vector<std::vector<T>> d2(parallelForWorkers(), std::vector<T>(nl.ngmax()));
 
     for (unsigned it = 0; it < params.maxIterations; ++it)
     {
@@ -98,17 +114,36 @@ updateSmoothingLengths(ParticleSet<T>& ps, const Octree<T>& tree, NeighborList<T
         if (active.empty()) break;
 
         ++res.iterations;
+        mustRewalk.assign(active.size(), 0);
         parallelFor(
             active.size(),
-            [&](std::size_t a, std::size_t) {
+            [&](std::size_t a, std::size_t w) {
                 std::size_t i = active[a];
-                ps.h[i] = std::max(params.minH,
-                                   updateH(ps.h[i], nl.count(i), params.targetNeighbors));
+                unsigned c    = nl.count(i);
+                T hOld        = ps.h[i];
+                ps.h[i] = std::max(params.minH, updateH(hOld, c, params.targetNeighbors));
+                const KernelSupport<T> support(ps.h[i]);
+                // a full row may have been truncated: only a re-walk knows
+                if (support.r2 <= KernelSupport<T>(hOld).r2 && c < nl.ngmax())
+                {
+                    nl.shrinkRow(i, support, wrap, ps.x, ps.y, ps.z, d2[w].data());
+                }
+                else
+                {
+                    mustRewalk[a] = 1;
+                }
             },
             policy);
 
+        // serial gather: the re-walk set is a function of the flags alone
+        rewalk.clear();
+        for (std::size_t a = 0; a < active.size(); ++a)
+        {
+            if (mustRewalk[a]) rewalk.push_back(active[a]);
+        }
+        res.rewalked += rewalk.size();
         findNeighborsIndividual(tree, std::span<const T>(ps.x), std::span<const T>(ps.y),
-                                std::span<const T>(ps.z), std::span<const T>(ps.h), active,
+                                std::span<const T>(ps.z), std::span<const T>(ps.h), rewalk,
                                 nl);
     }
 

@@ -173,47 +173,24 @@ void findNeighborsClustered(const Octree<T>& tree, std::type_identity_t<std::spa
             }
             visited[worker].value += scr.candidates.size();
 
-            // Every member streams the packed candidate buffer in two
-            // branch-free passes. Pass 1 computes the minimum-image squared
-            // distance of every candidate: the wrap selects pick among the
-            // identical FP values Box::delta's branches would produce, and
-            // the sum keeps norm2's left-to-right association — so d2 is
-            // bitwise the value the per-particle walk compares. Pass 2 is an
-            // ordered compaction (write always, advance on accept) with the
-            // walk's exact predicate, so accepted candidates land in
-            // traversal order with no data-dependent branch. This is where
-            // cluster mode beats the walk: the walk retests ~O(r^3) scattered
-            // candidates per particle through branchy code, while this loop
-            // streams a filtered contiguous buffer the whole cluster shares.
+            // Every member streams the packed candidate buffer through the
+            // walk's own d2 and predicate (filterWithinSupport): two
+            // branch-free passes, accepted candidates in traversal order.
+            // This is where cluster mode beats the walk: the walk retests
+            // ~O(r^3) scattered candidates per particle through branchy
+            // code, while this loop streams a filtered contiguous buffer the
+            // whole cluster shares.
             std::size_t nCand = scr.candidates.size();
             if (scr.d2.size() < nCand) scr.d2.resize(nCand);
             if (scr.list.size() < nCand) scr.list.resize(nCand);
-            const T* cxp     = scr.cx.data();
-            const T* cyp     = scr.cy.data();
-            const T* czp     = scr.cz.data();
-            const Index* cdp = scr.candidates.data();
-            T* d2p           = scr.d2.data();
-            Index* outp      = scr.list.data();
             for (std::size_t i = first; i < last; ++i)
             {
-                T pix    = x[i];
-                T piy    = y[i];
-                T piz    = z[i];
-                const KernelSupport<T> support(h[i]);
-                for (std::size_t k = 0; k < nCand; ++k)
-                {
-                    T dx   = wrap.x(pix - cxp[k]);
-                    T dy   = wrap.y(piy - cyp[k]);
-                    T dz   = wrap.z(piz - czp[k]);
-                    d2p[k] = dx * dx + dy * dy + dz * dz;
-                }
-                std::size_t cnt = 0;
-                for (std::size_t k = 0; k < nCand; ++k)
-                {
-                    outp[cnt] = cdp[k];
-                    cnt += std::size_t(support.contains(d2p[k]) & (cdp[k] != Index(i)));
-                }
-                nl.set(i, std::span<const Index>(outp, cnt));
+                std::size_t cnt = filterWithinSupport(
+                    Vec3<T>{x[i], y[i], z[i]}, KernelSupport<T>(h[i]), Index(i), wrap,
+                    scr.cx.data(), scr.cy.data(), scr.cz.data(),
+                    [](std::size_t k) { return k; }, scr.candidates.data(), nCand,
+                    scr.d2.data(), scr.list.data());
+                nl.set(i, std::span<const Index>(scr.list.data(), cnt));
             }
         },
         policy);

@@ -17,7 +17,9 @@
 /// produced lists are bitwise identical for any pool size and strategy.
 ///
 /// Every search, and the pair symmetrization of phase D, decides "j is a
-/// neighbor of i" through the one predicate KernelSupport below.
+/// neighbor of i" through the one predicate KernelSupport below; the list
+/// filters (the cluster member scan, the in-place row shrink of phase C)
+/// also share one d2 arithmetic, filterWithinSupport.
 
 #include <algorithm>
 #include <atomic>
@@ -31,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "backend/simd_tile.hpp"
 #include "parallel/parallel_for.hpp"
 #include "tree/octree.hpp"
 
@@ -52,6 +55,42 @@ struct KernelSupport
 
     bool contains(T d2) const { return d2 < r2; }
 };
+
+/// The one d2 arithmetic and compaction of the list filters: keep, in
+/// order, the candidates cand[0..nCand) inside \p support around \p xi,
+/// except \p self, writing them to \p out (which may alias cand); returns
+/// how many were kept. Candidate k's coordinates are (cx, cy, cz)[at(k)].
+///
+/// Two branch-free passes. Pass 1 computes every minimum-image squared
+/// distance: the wrap selects pick among the identical FP values
+/// Box::delta's branches would produce, and the sum keeps norm2's
+/// left-to-right association, so d2 is bitwise the value the tree walk
+/// (Octree::forEachNeighbor) compares. Pass 2 is an ordered compaction
+/// (write always, advance on accept) with the walk's predicate, so kept
+/// candidates stay in candidate order with no data-dependent branch.
+/// \p d2 is scratch for nCand values.
+template<class T, class Index, class At>
+std::size_t filterWithinSupport(const Vec3<T>& xi, const KernelSupport<T>& support, Index self,
+                                const backend::PeriodicWrap<T>& wrap, const T* cx,
+                                const T* cy, const T* cz, At at, const Index* cand,
+                                std::size_t nCand, T* d2, Index* out)
+{
+    for (std::size_t k = 0; k < nCand; ++k)
+    {
+        std::size_t j = at(k);
+        T dx  = wrap.x(xi.x - cx[j]);
+        T dy  = wrap.y(xi.y - cy[j]);
+        T dz  = wrap.z(xi.z - cz[j]);
+        d2[k] = dx * dx + dy * dy + dz * dz;
+    }
+    std::size_t cnt = 0;
+    for (std::size_t k = 0; k < nCand; ++k)
+    {
+        out[cnt] = cand[k];
+        cnt += std::size_t(support.contains(d2[k]) & (cand[k] != self));
+    }
+    return cnt;
+}
 
 /// Flat fixed-capacity neighbor lists.
 template<class T>
@@ -156,6 +195,24 @@ public:
         }
     }
 
+    /// Shrink particle i's row in place to its entries inside \p support,
+    /// in order. When the row is an untruncated walk at a radius no smaller
+    /// than support's, the result is the list a fresh walk at support
+    /// returns, in its traversal order: the smaller radius only prunes
+    /// subtrees whose points it would reject anyway (the point-box bound
+    /// never exceeds a member's d2 under monotone rounding), and the kept
+    /// points pass the walk's own predicate on the walk's own d2. x, y, z
+    /// are the arrays the walk read; \p d2 is scratch for count(i) values.
+    void shrinkRow(std::size_t i, const KernelSupport<T>& support,
+                   const backend::PeriodicWrap<T>& wrap, std::span<const T> x,
+                   std::span<const T> y, std::span<const T> z, T* d2)
+    {
+        Index* row = list_.data() + i * ngmax_;
+        count_[i]  = unsigned(filterWithinSupport(
+            Vec3<T>{x[i], y[i], z[i]}, support, Index(i), wrap, x.data(), y.data(), z.data(),
+            [row](std::size_t k) { return std::size_t(row[k]); }, row, count_[i], d2, row));
+    }
+
 private:
     std::size_t n_{0};
     unsigned    ngmax_{256};
@@ -193,10 +250,13 @@ void findNeighborsGlobal(const Octree<T>& tree, std::type_identity_t<std::span<c
 /// walk", ChaNGa-style): the inactive entries keep their previous lists.
 /// This is the phase-B search of every subset walk — the binned-integration
 /// pipeline (PipelineFactory::individual, where \p active is the time-step
-/// controller's force set) and the distributed driver's per-rank walk. No
-/// ClusterList counterpart exists: clusters are runs of consecutive
-/// SFC-sorted slots and an active bin scatters across them, so the
-/// per-particle walk remains the subset path (open item in the ROADMAP).
+/// controller's force set) and the distributed driver's per-rank walk — and
+/// the re-walk of phase C's h iteration, which calls it only for the rows
+/// whose h grows or whose row is full (the others shrink in place,
+/// NeighborList::shrinkRow). No ClusterList counterpart exists: clusters
+/// are runs of consecutive SFC-sorted slots and an active bin scatters
+/// across them, so the per-particle walk remains the subset path (open item
+/// in the ROADMAP).
 template<class T>
 void findNeighborsIndividual(const Octree<T>& tree, std::type_identity_t<std::span<const T>> x,
                              std::type_identity_t<std::span<const T>> y, std::type_identity_t<std::span<const T>> z,

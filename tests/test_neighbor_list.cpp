@@ -18,9 +18,11 @@
 #include <vector>
 
 #include "ic/dam_break.hpp"
+#include "ic/evrard.hpp"
 #include "ic/lattice.hpp"
 #include "math/rng.hpp"
 #include "sph/boundaries.hpp"
+#include "smoothing_length_oracle.hpp"
 #include "sph/smoothing_length.hpp"
 #include "symmetrize_oracle.hpp"
 #include "tree/neighbors.hpp"
@@ -433,4 +435,171 @@ TEST(NeighborSymmetrizeDeathTest, ListsStaleForCurrentHFailInDebugBuilds)
     EXPECT_DEATH(symmetrizeNeighborList(ps.x, ps.y, ps.z, ps.h, box, nl),
                  "not built by the search");
 #endif
+}
+
+// --- phase C: smoothing-length iteration -------------------------------------
+
+namespace {
+
+/// Jittered periodic unit-box lattice with every h = \p hOverDx lattice
+/// spacings (h = 2dx is the set-up start: ~270 neighbors for a target of
+/// 100).
+ParticleSetD jitteredLattice(std::size_t side, double hOverDx, Box<double>& box)
+{
+    ParticleSetD ps;
+    box = Box<double>{{0, 0, 0}, {1, 1, 1}, true, true, true};
+    cubicLattice(ps, side, side, side, box);
+    double dx = 1.0 / double(side);
+    jitterPositions(ps, box, dx, 0.2, 77 + side);
+    for (auto& h : ps.h)
+        h = hOverDx * dx;
+    return ps;
+}
+
+struct HRun
+{
+    SmoothingLengthResult shipped; ///< the shipped loop (last pool/strategy run)
+    SmoothingLengthResult oracle;
+    std::size_t overflow = 0; ///< the oracle's final overflow tally
+};
+
+/// The gate of the in-place shrink: from the same entry lists, the shipped
+/// loop reproduces the re-walk-everything oracle bitwise — h, nc, the
+/// iteration and unconverged counts, every row entry for entry and the
+/// overflow tally — at pools {1,4} under every scheduling strategy, and its
+/// re-walk count does not depend on the pool either. An empty \p subset
+/// iterates all particles from the loop's own initial walk; otherwise the
+/// entry lists are a global walk at the current h, as phase B leaves them.
+HRun expectHMatchesOracle(const ParticleSetD& ps0, const Box<double>& box,
+                          const SmoothingLengthParams<double>& hp, unsigned ngmax = 384,
+                          std::span<const std::size_t> subset = {})
+{
+    Octree<double> tree;
+    tree.build(ps0.x, ps0.y, ps0.z, box);
+    NeighborList<double> entry(ps0.size(), ngmax);
+    const bool reuse = !subset.empty();
+    if (reuse) findNeighborsGlobal(tree, ps0.x, ps0.y, ps0.z, ps0.h, entry);
+
+    HRun run;
+    ParticleSetD ref = ps0;
+    NeighborList<double> refNl = entry;
+    run.oracle   = oracle::updateSmoothingLengthsOracle(ref, tree, refNl, hp, subset, reuse);
+    run.overflow = refNl.overflowCount();
+
+    std::size_t rewalked = 0;
+    bool first = true;
+    for (std::size_t pool : {1, 4})
+    {
+        PoolSizeGuard guard(pool);
+        for (auto strategy : kStrategies)
+        {
+            SCOPED_TRACE(testing::Message() << "pool " << pool << ", strategy "
+                                            << schedulingName(strategy));
+            std::vector<double> awf(pool, 1.0);
+            awf[0] = 2.5; // uneven AWF chunks
+            LoopPolicy pol;
+            pol.strategy = strategy;
+            if (strategy == SchedulingStrategy::AdaptiveWeightedFactoring) pol.awfWeights = &awf;
+
+            ParticleSetD ps = ps0;
+            NeighborList<double> nl = entry;
+            run.shipped = updateSmoothingLengths(ps, tree, nl, hp, subset, reuse, pol);
+            EXPECT_EQ(run.shipped.iterations, run.oracle.iterations);
+            EXPECT_EQ(run.shipped.unconverged, run.oracle.unconverged);
+            EXPECT_TRUE(ps.h == ref.h) << "h differs from the oracle";
+            EXPECT_TRUE(ps.nc == ref.nc) << "nc differs from the oracle";
+            expectListsIdentical(nl, refNl);
+            if (first) rewalked = run.shipped.rewalked;
+            EXPECT_EQ(run.shipped.rewalked, rewalked);
+            first = false;
+        }
+    }
+    return run;
+}
+
+SmoothingLengthParams<double> hParams(unsigned maxIterations = 10)
+{
+    SmoothingLengthParams<double> hp;
+    hp.targetNeighbors = 100;
+    hp.tolerance       = 5;
+    hp.maxIterations   = maxIterations;
+    return hp;
+}
+
+} // namespace
+
+TEST(SmoothingLengthIteration, MatchesOracleShrinkingFromTwoDxOnPeriodicLattice)
+{
+    Box<double> box;
+    auto ps  = jitteredLattice(12, 2.0, box);
+    auto run = expectHMatchesOracle(ps, box, hParams());
+    EXPECT_GE(run.oracle.iterations, 2u);
+    EXPECT_EQ(run.oracle.unconverged, 0u);
+    // the point of the shrink path: almost every revisited row is compacted
+    EXPECT_LT(run.shipped.rewalked * 10, run.oracle.rewalked);
+}
+
+TEST(SmoothingLengthIteration, MatchesOracleOnOpenEvrardSphereWhereSomeHGrow)
+{
+    ParticleSetD ps;
+    EvrardConfig<double> ec;
+    ec.nSide   = 16;
+    auto setup = makeEvrard(ps, ec);
+    auto run   = expectHMatchesOracle(ps, setup.box, hParams());
+    EXPECT_GT(run.shipped.rewalked, 0u);
+    EXPECT_LT(run.shipped.rewalked, run.oracle.rewalked);
+}
+
+TEST(SmoothingLengthIteration, MatchesOracleFromUndersizedH)
+{
+    Box<double> box;
+    auto ps  = jitteredLattice(12, 0.3, box);
+    auto run = expectHMatchesOracle(ps, box, hParams());
+    // no row starts with a neighbor: every h grows on the first pass
+    EXPECT_GE(run.shipped.rewalked, ps.size());
+}
+
+TEST(SmoothingLengthIteration, MatchesOracleWhenFullRowsMustReWalk)
+{
+    Box<double> box;
+    auto ps  = jitteredLattice(10, 2.0, box);
+    auto run = expectHMatchesOracle(ps, box, hParams(), /*ngmax*/ 128);
+    // the initial walk truncates every row at ngmax, so none may be
+    // compacted on the first pass
+    EXPECT_GE(run.overflow, ps.size());
+    EXPECT_GE(run.shipped.rewalked, ps.size());
+}
+
+TEST(SmoothingLengthIteration, RowsHeldAtMinHAreNotReWalked)
+{
+    // h clamped at minH keeps its support: the row is already the walk at
+    // the "new" h, so it takes the shrink path, never a re-walk
+    Box<double> box;
+    auto ps = jitteredLattice(10, 2.0, box);
+    auto hp = hParams(3);
+    hp.minH = ps.h[0];
+    auto run = expectHMatchesOracle(ps, box, hp);
+    EXPECT_EQ(run.oracle.unconverged, ps.size());
+    EXPECT_EQ(run.shipped.rewalked, 0u);
+}
+
+TEST(SmoothingLengthIteration, MatchesOracleOnSubset)
+{
+    Box<double> box;
+    auto ps = jitteredLattice(12, 2.0, box);
+    std::vector<std::size_t> subset;
+    for (std::size_t i = 0; i < ps.size(); i += 3)
+        subset.push_back(i);
+    auto run = expectHMatchesOracle(ps, box, hParams(), 384, subset);
+    EXPECT_GE(run.oracle.iterations, 2u);
+    EXPECT_LT(run.shipped.rewalked, run.oracle.rewalked);
+}
+
+TEST(SmoothingLengthIteration, IterationCapLeavesUnconvergedCounted)
+{
+    Box<double> box;
+    auto ps  = jitteredLattice(12, 2.0, box);
+    auto run = expectHMatchesOracle(ps, box, hParams(/*maxIterations*/ 1));
+    EXPECT_EQ(run.shipped.iterations, 1u);
+    EXPECT_GT(run.shipped.unconverged, 0u);
 }

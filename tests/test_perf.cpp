@@ -8,6 +8,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "ic/lattice.hpp"
 #include "ic/square_patch.hpp"
 #include "perf/cluster_sim.hpp"
 #include "perf/cost_model.hpp"
@@ -241,6 +242,31 @@ TEST(Probe, CountsArePlausible)
     EXPECT_EQ(locals, ps.size());
     // ~50 neighbors per particle
     EXPECT_NEAR(double(inter) / double(ps.size()), 50.0, 20.0);
+}
+
+TEST(Probe, SphInteractionsArePinned)
+{
+    // the probe's h iteration is the shared updateSmoothingLengths over each
+    // rank's owned particles; these per-rank counts were produced by the
+    // probe's former private re-walk loop, so they pin the swap as neutral
+    Box<double> patchBox;
+    auto patch = smallPatch(patchBox);
+    SimulationConfig<double> patchCfg;
+    patchCfg.targetNeighbors   = 50;
+    patchCfg.neighborTolerance = 10;
+    auto onPatch = probeWorkload(patch, patchBox, patchCfg, 4);
+    EXPECT_EQ(onPatch.sphInteractions, (std::vector<std::size_t>{28320, 28320, 28320, 28320}));
+
+    // a jittered periodic lattice starting at h = 2dx: several passes, with
+    // different h paths on every rank
+    ParticleSetD cloud;
+    Box<double> box{{0, 0, 0}, {1, 1, 1}, true, true, true};
+    cubicLattice(cloud, 14, 14, 14, box);
+    jitterPositions(cloud, box, 1.0 / 14, 0.3, 7);
+    for (auto& h : cloud.h)
+        h = 2.0 / 14;
+    auto onCloud = probeWorkload(cloud, box, SimulationConfig<double>{}, 4);
+    EXPECT_EQ(onCloud.sphInteractions, (std::vector<std::size_t>{72389, 72357, 72484, 72556}));
 }
 
 TEST(Probe, HaloFractionGrowsWithRanks)

@@ -210,6 +210,29 @@ TEST(Propagator, ComputeForcesReportsTimeAndDt)
     EXPECT_GT(rep1.dt, 0.0);
 }
 
+TEST(Propagator, ReportCountsPhaseCReWalksAndUnconvergedParticles)
+{
+    // a healthy patch converges: nothing left out of tolerance
+    auto patch = makePatch();
+    Simulation<double> sim(std::move(patch.ps), patch.setup.box,
+                           Eos<double>(patch.setup.eos), patchConfig());
+    auto rep = sim.computeForces();
+    EXPECT_GT(rep.hIterations, 0u);
+    EXPECT_EQ(rep.hUnconverged, 0u);
+
+    // a zero tolerance the lattice's discrete neighbor shells cannot meet:
+    // the iteration hits its cap, overshoots both ways, and says so
+    auto tight = makePatch();
+    auto cfg   = patchConfig();
+    cfg.neighborTolerance = 0;
+    Simulation<double> stuck(std::move(tight.ps), tight.setup.box,
+                             Eos<double>(tight.setup.eos), cfg);
+    auto stuckRep = stuck.computeForces();
+    EXPECT_EQ(stuckRep.hIterations, SmoothingLengthParams<double>{}.maxIterations);
+    EXPECT_GT(stuckRep.hUnconverged, 0u);
+    EXPECT_GT(stuckRep.hRewalked, 0u);
+}
+
 // --- driver equivalence through the shared phase units -----------------------------
 
 TEST(Propagator, SingleRankAndOneRankDistributedAreBitwiseIdentical)
